@@ -72,6 +72,7 @@ type group_env = {
   ge_r_aggs : (string * E.agg * string option) list;
   ge_arg_nullable : string -> bool;
   ge_ekey_cols : string list option;
+  ge_scalar : bool;
 }
 
 let restrict_to_cols equiv cols t =
@@ -191,12 +192,18 @@ let rec derive_sum env t =
               Option.map (fun du -> E.Unop ("-", du)) (derive_sum env u)
           | _ -> None))
 
+(* A count re-derived as a SUM of partial counts. A scalar aggregate over
+   no rows sums to NULL where the count it stands for is 0; with grouping
+   keys an empty group yields no row, so only the scalar case needs it. *)
+let count_of_sum env s =
+  if env.ge_scalar then E.Fncall ("coalesce", [ s; E.Const (V.Int 0) ]) else s
+
 let derive_count_star env =
-  Option.map sum_of (find_row_count env)
+  Option.map (fun n -> count_of_sum env (sum_of n)) (find_row_count env)
 
 let derive_count env t =
   match Option.bind (as_col env t) (fun y -> find_r_agg env E.Count ~distinct:false y) with
-  | Some n -> Some (sum_of n)
+  | Some n -> Some (count_of_sum env (sum_of n))
   | None ->
       if expr_nonnull env t then derive_count_star env
       else
@@ -205,12 +212,13 @@ let derive_count env t =
         Option.bind (keys_only env t) (fun kt ->
             Option.map
               (fun cnt ->
-                E.Agg
-                  ( { E.fn = E.Sum; distinct = false },
-                    Some
-                      (E.Case
-                         ( [ (E.Is_null (kt, false), E.Col (M.Below cnt)) ],
-                           Some (E.Const (V.Int 0)) )) ))
+                count_of_sum env
+                  (E.Agg
+                     ( { E.fn = E.Sum; distinct = false },
+                       Some
+                         (E.Case
+                            ( [ (E.Is_null (kt, false), E.Col (M.Below cnt)) ],
+                              Some (E.Const (V.Int 0)) )) )))
               (find_row_count env))
 
 let derive_minmax env fn t =

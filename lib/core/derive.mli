@@ -33,6 +33,9 @@ type group_env = {
   ge_ekey_cols : string list option;
       (** when every subsumee grouping expression is a plain subsumer
           grouping column: those columns (for rule f/g's exactness test) *)
+  ge_scalar : bool;
+      (** the compensation groups by no key, so it yields one row even over
+          no input: re-derived counts must read 0 there, not NULL *)
 }
 
 (** [agg_direct env agg arg] — the subsumer aggregate output equal to this

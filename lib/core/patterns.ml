@@ -1097,6 +1097,7 @@ and match_group_spec ctx ~keys ~sets ~simple ~aggs ~pulled_preds ~rejoins
               ge_r_aggs = r_aggs;
               ge_arg_nullable = arg_nullable;
               ge_ekey_cols = Some (List.map snd key_cols);
+              ge_scalar = false;
             }
           in
           let direct =
@@ -1279,6 +1280,7 @@ and regroup_compensation ctx ~keys ~regroup_grouping ~aggs ~equiv ~r_sets
               ge_r_aggs = r_aggs;
               ge_arg_nullable = arg_nullable;
               ge_ekey_cols = ekey_cols;
+              ge_scalar = regroup_grouping = B.Simple [];
             }
           in
           let derived =

@@ -60,16 +60,7 @@ let with_engine e f =
   Atomic.set current_engine e;
   Fun.protect ~finally:(fun () -> Atomic.set current_engine saved) f
 
-(* Hash table keyed by value lists, honoring SQL grouping equality
-   (NULL groups with NULL; Int and Float compare numerically). *)
-module Vkey = struct
-  type t = V.t list
-
-  let equal a b = List.length a = List.length b && List.for_all2 V.equal a b
-  let hash k = List.fold_left (fun h v -> (h * 31) + V.hash v) 17 k
-end
-
-module VH = Hashtbl.Make (Vkey)
+module VH = Vexec.VH
 
 (* ------------------------------------------------------------------ *)
 (* Aggregate accumulators (row engine)                                 *)
@@ -385,37 +376,54 @@ let row_union ~(child : B.quant -> R.t) (u : B.union_body) : R.t =
 (* A memo slot holds a box's result in whichever representation the engine
    produced, converting (and caching the conversion) on demand — so a
    vectorized parent can consume a row-engine fallback child and vice
-   versa. *)
-type slot = { mutable srel : R.t option; mutable sbat : C.batch option }
+   versa. A select handed to its group unprojected ([sfil]) materializes
+   only if something else asks for its result. *)
+type slot = {
+  mutable srel : R.t option;
+  mutable sbat : C.batch option;
+  sfil : Vexec.filtered option;
+}
 
-let slot_of_rel r = { srel = Some r; sbat = None }
-let slot_of_batch b = { srel = None; sbat = Some b }
+let slot_of_rel r = { srel = Some r; sbat = None; sfil = None }
+let slot_of_batch b = { srel = None; sbat = Some b; sfil = None }
 
-let slot_rel s =
-  match s.srel with
-  | Some r -> r
-  | None ->
-      let r = C.to_relation (Option.get s.sbat) in
-      s.srel <- Some r;
-      r
+(* Vectorized operators report internal invariant violations through their
+   own exception; surface them as executor errors. Reference operators
+   likewise, so [ASTQL_EXEC=reference] behaves as a drop-in engine. *)
+let vex f = try f () with Vexec.Error m -> raise (Exec_error m)
+let refx f = try f () with Reference.Reference_error m -> raise (Exec_error m)
 
 let slot_batch s =
   match s.sbat with
   | Some b -> b
   | None ->
-      let b = C.of_relation (Option.get s.srel) in
+      let b =
+        match s.sfil with
+        | Some f -> vex (fun () -> Vexec.materialize f)
+        | None -> C.of_relation (Option.get s.srel)
+      in
       s.sbat <- Some b;
       b
 
+let slot_rel s =
+  match s.srel with
+  | Some r -> r
+  | None ->
+      let r = C.to_relation (slot_batch s) in
+      s.srel <- Some r;
+      r
+
 let slot_cardinality s =
-  match s.sbat with
-  | Some b -> b.C.nrows
-  | None -> R.cardinality (Option.get s.srel)
+  match (s.sbat, s.sfil) with
+  | Some b, _ -> b.C.nrows
+  | None, Some f -> Vexec.filtered_rows f
+  | None, None -> R.cardinality (Option.get s.srel)
 
 (* Operator-level metrics, ticked only on the compute path (memo hits are
-   free and counted separately). Timings are wall-clock and include the
-   recursive children, so the per-operator histograms report inclusive
-   operator latency. *)
+   free and counted separately). The per-operator histograms record self
+   time: wall-clock time in the box minus the time spent computing its
+   child boxes, so the boxes of one run add up to its [exec.run_ms] less
+   the presentation (ORDER BY, LIMIT). *)
 let x_boxes = Obs.Metrics.counter "exec.boxes"
 let x_vec_boxes = Obs.Metrics.counter "exec.vec_boxes"
 let x_fallback_boxes = Obs.Metrics.counter "exec.fallback_boxes"
@@ -428,13 +436,22 @@ let x_union_ms = Obs.Metrics.histogram "exec.union_ms"
 let x_runs = Obs.Metrics.counter "exec.runs"
 let x_run_ms = Obs.Metrics.histogram "exec.run_ms"
 
-(* Vectorized operators report internal invariant violations through their
-   own exception; surface them as executor errors. Reference operators
-   likewise, so [ASTQL_EXEC=reference] behaves as a drop-in engine. *)
-let vex f = try f () with Vexec.Error m -> raise (Exec_error m)
-let refx f = try f () with Reference.Reference_error m -> raise (Exec_error m)
+(* A select box hands its group its working set and selection instead of a
+   result ([defer], asked only by a vectorized group box) when it ranges
+   over one quantifier, is not DISTINCT, and that group is its only
+   consumer. *)
+let fusable g parents id =
+  match (G.box g id).B.body with
+  | B.Select s -> (
+      (not s.B.sel_distinct)
+      && List.length s.B.sel_quants = 1
+      &&
+      match Hashtbl.find_opt (Lazy.force parents) id with
+      | Some [ _ ] -> true
+      | _ -> false)
+  | _ -> false
 
-let rec run_box_memo ?budget db g memo id : slot =
+let rec run_box_memo ?budget ~parents ~defer db g memo id : slot =
   match Hashtbl.find_opt memo id with
   | Some s ->
       Obs.Metrics.incr x_memo_hits;
@@ -444,8 +461,28 @@ let rec run_box_memo ?budget db g memo id : slot =
          before starting (possibly expensive) work on this box *)
       Govern.Budget.check_deadline budget;
       Obs.Metrics.incr x_boxes;
-      let child_rel q = slot_rel (run_box_memo ?budget db g memo q.B.q_box) in
-      let child_batch q = slot_batch (run_box_memo ?budget db g memo q.B.q_box) in
+      let t0 = Obs.Metrics.now_ms () in
+      let nested = ref 0.0 in
+      let child ?(defer = false) q =
+        let t = Obs.Metrics.now_ms () in
+        Fun.protect
+          ~finally:(fun () -> nested := !nested +. (Obs.Metrics.now_ms () -. t))
+          (fun () -> run_box_memo ?budget ~parents ~defer db g memo q.B.q_box)
+      in
+      let self_time h f =
+        Fun.protect
+          ~finally:(fun () ->
+            Obs.Metrics.observe h (Obs.Metrics.now_ms () -. t0 -. !nested))
+          f
+      in
+      let child_rel q = slot_rel (child q) in
+      let child_batch q = slot_batch (child q) in
+      let child_input q =
+        let s = child ~defer:true q in
+        match (s.sbat, s.sfil) with
+        | None, Some f -> Vexec.Filtered f
+        | _ -> Vexec.Batch (slot_batch s)
+      in
       let eng = engine () in
       let body = (G.box g id).B.body in
       (* a box runs vectorized iff the engine is [Vector] and the body is
@@ -457,12 +494,20 @@ let rec run_box_memo ?budget db g memo id : slot =
       let s =
         match body with
         | B.Base ({ bt_table; bt_cols } as bt) ->
-            Obs.Metrics.time x_base_ms (fun () ->
+            self_time x_base_ms (fun () ->
                 if vectorized then slot_of_batch (vex (fun () -> Vexec.exec_base db bt))
                 else slot_of_rel (R.project (Db.get_exn db bt_table) bt_cols))
         | B.Select sel ->
-            Obs.Metrics.time x_select_ms (fun () ->
-                if vectorized then
+            self_time x_select_ms (fun () ->
+                if vectorized && defer && fusable g parents id then
+                  {
+                    srel = None;
+                    sbat = None;
+                    sfil =
+                      Some
+                        (vex (fun () -> Vexec.exec_select_filtered ~child:child_batch sel));
+                  }
+                else if vectorized then
                   slot_of_batch
                     (vex (fun () -> Vexec.exec_select ~child:child_batch sel))
                 else if eng = Reference then
@@ -470,16 +515,16 @@ let rec run_box_memo ?budget db g memo id : slot =
                     (refx (fun () -> Reference.eval_select ~child:child_rel sel))
                 else slot_of_rel (row_select ~child:child_rel sel))
         | B.Group grp ->
-            Obs.Metrics.time x_group_ms (fun () ->
+            self_time x_group_ms (fun () ->
                 if vectorized then
                   slot_of_batch
-                    (vex (fun () -> Vexec.exec_group ~child:child_batch grp))
+                    (vex (fun () -> Vexec.exec_group ~child:child_input grp))
                 else if eng = Reference then
                   slot_of_rel
                     (refx (fun () -> Reference.eval_group ~child:child_rel grp))
                 else slot_of_rel (row_group ~child:child_rel grp))
         | B.Union u ->
-            Obs.Metrics.time x_union_ms (fun () ->
+            self_time x_union_ms (fun () ->
                 if eng = Reference then
                   slot_of_rel
                     (refx (fun () -> Reference.eval_union ~child:child_rel u))
@@ -498,7 +543,9 @@ let run_box ?budget db g id =
      chunks wholesale (results are boxed relations by then) *)
   C.scratch_begin ();
   Fun.protect ~finally:C.scratch_end @@ fun () ->
-  slot_rel (run_box_memo ?budget db g (Hashtbl.create 16) id)
+  slot_rel
+    (run_box_memo ?budget ~parents:(lazy (G.parents g)) ~defer:false db g
+       (Hashtbl.create 16) id)
 
 let run ?budget db g =
   Obs.Metrics.incr x_runs;

@@ -1,24 +1,36 @@
 (* Vectorized (batch-at-a-time) QGM operators over typed column vectors.
 
    Execution here is column-at-a-time over whole-relation batches: scan
-   decodes a base table once (through Column's LRU cache), filter evaluates
-   predicates as vector kernels producing selection indices, joins build
-   hash tables on key columns and gather matching rows, and aggregation
-   assigns dense group ids in one pass then folds each aggregate in a tight
-   typed loop. Everything that falls outside the kernels — DISTINCT
-   aggregates, CASE expressions, UNION — is left to the row interpreter:
-   Exec dispatches per box, so a single exotic operator degrades only
-   itself, not the plan.
+   decodes a base table once (through Column's LRU cache), joins build hash
+   tables on key columns and gather matching rows, and aggregation assigns
+   dense group ids in one pass then folds each aggregate in a tight typed
+   loop. Everything that falls outside the kernels — DISTINCT aggregates,
+   CASE expressions, UNION — is left to the row interpreter: Exec dispatches
+   per box, so a single exotic operator degrades only itself, not the plan.
+
+   Filtering never copies. A select box's working set is a set of
+   full-width columns plus a selection vector (ascending physical row
+   indices); each predicate narrows the selection, and expressions read
+   their leaf columns through it. A comparison of a column with a constant
+   is one typed pass that writes the narrowed selection directly. Columns
+   are gathered only where a join needs dense inputs or a result must be
+   materialized. A one-quantifier select feeding only a GROUP BY box goes
+   further ({!exec_select_filtered}): it hands the group its working set
+   and output expressions, and the group evaluates its keys and aggregate
+   arguments through the selection, so the select's result is never built.
 
    Semantics notes (kept bit-compatible with the row engine, which the
    3-engine differential fuzz in test/test_differential.ml enforces):
    - AND/OR evaluate their right operand only on rows the row interpreter
-     would (left ≠ FALSE for AND, ≠ TRUE for OR), so data-dependent errors
-     (division by zero) surface identically.
+     would (left ≠ FALSE for AND, ≠ TRUE for OR), and output expressions
+     only on rows every predicate kept, so data-dependent errors (division
+     by zero) surface identically.
+   - Float comparisons follow [Float.compare]: NaN sorts below every number.
    - Join and group hash keys honor SQL grouping equality: NULL groups
      with NULL, Int and Float compare numerically.
    - Operator output row order matches the row engine exactly (left-major
-     joins, first-seen group order), so ORDER BY ties break the same way.
+     joins, first-seen group order, per-group input-order folds), so ORDER
+     BY ties and float sums come out the same.
    - Boxed fallback kernels route through Eval's scalar kernels, so error
      messages and 3VL corner cases cannot drift between engines. *)
 
@@ -72,6 +84,51 @@ let ibuf_push b x =
 let ibuf_sel b = (b.ib_arr, b.ib_len)
 
 (* ------------------------------------------------------------------ *)
+(* Integer hash table                                                  *)
+(* ------------------------------------------------------------------ *)
+
+(* Open addressing with linear probing, int keys to non-negative ints
+   (-1 marks an empty slot): the join and grouping kernels' table for a
+   single integer key, free of polymorphic hashing and comparison. *)
+type itab = { mutable tkeys : int array; mutable tvals : int array; mutable tsize : int }
+
+let itab_create n =
+  let cap = ref 16 in
+  while !cap < 2 * n do
+    cap := 2 * !cap
+  done;
+  { tkeys = Array.make !cap 0; tvals = Array.make !cap (-1); tsize = 0 }
+
+let[@inline] itab_home k mask =
+  let h = k * 0x2545F4914F6CDD1D in
+  (h lxor (h lsr 29)) land mask
+
+(* The slot holding [k], or the empty slot where it would go. *)
+let itab_slot t k =
+  let mask = Array.length t.tkeys - 1 in
+  let s = ref (itab_home k mask) in
+  while Array.unsafe_get t.tvals !s >= 0 && Array.unsafe_get t.tkeys !s <> k do
+    s := (!s + 1) land mask
+  done;
+  !s
+
+(* The value bound to [k], or -1. *)
+let itab_find t k = Array.unsafe_get t.tvals (itab_slot t k)
+
+let rec itab_replace t k v =
+  if 2 * (t.tsize + 1) > Array.length t.tkeys then begin
+    let keys = t.tkeys and vals = t.tvals in
+    t.tkeys <- Array.make (2 * Array.length keys) 0;
+    t.tvals <- Array.make (2 * Array.length keys) (-1);
+    t.tsize <- 0;
+    Array.iteri (fun s x -> if x >= 0 then itab_replace t keys.(s) x) vals
+  end;
+  let s = itab_slot t k in
+  if Array.unsafe_get t.tvals s < 0 then t.tsize <- t.tsize + 1;
+  Array.unsafe_set t.tkeys s k;
+  Array.unsafe_set t.tvals s v
+
+(* ------------------------------------------------------------------ *)
 (* Which expression shapes the kernels cover                           *)
 (* ------------------------------------------------------------------ *)
 
@@ -106,19 +163,46 @@ let box_supported (body : B.body) =
 (* ------------------------------------------------------------------ *)
 
 (* A select box's working set: columns addressed by (quantifier, column)
-   like the row engine's layout, one column vector per slot. *)
-type lbatch = { lay : (int * string) array; lcols : C.t array; ln : int }
+   like the row engine's layout. [ln] rows are live: all of [lcols] when
+   [lix] is [None], else the physical rows [lix.{0 .. ln-1}] (ascending). *)
+type lbatch = {
+  lay : (int * string) array;
+  lcols : C.t array;
+  ln : int;
+  lix : C.ints option;
+}
 
-type vv = Vec of C.t | Scal of V.t
+(* Physical row of live row [j] under an optional selection. *)
+let[@inline] phys (ix : C.ints option) j =
+  match ix with None -> j | Some s -> BA1.unsafe_get s j
 
-let vv_get ctx_n v i =
-  ignore ctx_n;
-  match v with Vec c -> C.get c i | Scal s -> s
+let[@inline] null_in nulls i =
+  match nulls with None -> false | Some m -> Bytes.unsafe_get m i = '\001'
+
+(* An evaluated expression over [n] live rows: a dense column, a column
+   read through a selection (a leaf of a narrowed working set), or a
+   constant. *)
+type vv = Vec of C.t | Sel of C.t * C.ints | Scal of V.t
+
+let vv_get v i =
+  match v with
+  | Vec c -> C.get c i
+  | Sel (c, ix) -> C.get c (BA1.unsafe_get ix i)
+  | Scal s -> s
 
 let vv_null v i =
-  match v with Vec c -> C.is_null c i | Scal s -> V.is_null s
+  match v with
+  | Vec c -> null_in c.C.nulls i
+  | Sel (c, ix) -> null_in c.C.nulls (BA1.unsafe_get ix i)
+  | Scal s -> V.is_null s
 
-let vv_col n = function Vec c -> c | Scal s -> C.const s n
+let vv_col n = function
+  | Vec c -> c
+  | Sel (c, ix) -> C.gather c ix n
+  | Scal s -> C.const s n
+
+(* For kernels without a through-selection loop. *)
+let dense n = function Sel (c, ix) -> Vec (C.gather c ix n) | v -> v
 
 let lay_index (lay : (int * string) array) quant col =
   let col = String.lowercase_ascii col in
@@ -136,13 +220,38 @@ let lookup_col ctx { B.quant; col } =
   | Some i -> ctx.lcols.(i)
   | None -> err "unresolved column reference q%d.%s" quant col
 
+(* The live rows of column [c] of the working set, as a dense column. *)
+let live_col ctx c = match ctx.lix with None -> c | Some ix -> C.gather c ix ctx.ln
+
+(* Narrow a working set to its live rows [sel.{0 .. k-1}] (ascending),
+   composing selections rather than copying columns. *)
+let restrict ctx (sel, k) =
+  let lix =
+    match ctx.lix with
+    | None -> sel
+    | Some s ->
+        let out = C.scratch_ints k in
+        for j = 0 to k - 1 do
+          BA1.unsafe_set out j (BA1.unsafe_get s (BA1.unsafe_get sel j))
+        done;
+        out
+  in
+  { ctx with ln = k; lix = Some lix }
+
+(* Materialize the live rows, for operators that need dense inputs. *)
+let densify ctx =
+  match ctx.lix with
+  | None -> ctx
+  | Some _ -> { ctx with lcols = Array.map (live_col ctx) ctx.lcols; lix = None }
+
 (* Merge null masks of two operands into a fresh result mask. *)
 let merged_nulls n a b =
-  let any =
-    (match a with Vec { C.nulls = Some _; _ } -> true | Scal s -> V.is_null s | _ -> false)
-    || (match b with Vec { C.nulls = Some _; _ } -> true | Scal s -> V.is_null s | _ -> false)
+  let has = function
+    | Vec { C.nulls = Some _; _ } | Sel ({ C.nulls = Some _; _ }, _) -> true
+    | Scal s -> V.is_null s
+    | _ -> false
   in
-  if not any then None
+  if not (has a || has b) then None
   else begin
     let m = Bytes.make n '\000' in
     for i = 0 to n - 1 do
@@ -151,17 +260,20 @@ let merged_nulls n a b =
     Some m
   end
 
+(* Numeric operands: typed buffers read through an optional selection. *)
 type nview =
-  | NIv of C.ints
-  | NFv of C.floats
+  | NIv of C.ints * C.ints option
+  | NFv of C.floats * C.ints option
   | NIs of int
   | NFs of float
   | NNull
   | NOther
 
 let num_view = function
-  | Vec { C.data = C.Ints a; _ } -> NIv a
-  | Vec { C.data = C.Floats a; _ } -> NFv a
+  | Vec { C.data = C.Ints a; _ } -> NIv (a, None)
+  | Sel ({ C.data = C.Ints a; _ }, ix) -> NIv (a, Some ix)
+  | Vec { C.data = C.Floats a; _ } -> NFv (a, None)
+  | Sel ({ C.data = C.Floats a; _ }, ix) -> NFv (a, Some ix)
   | Scal (V.Int x) -> NIs x
   | Scal (V.Float x) -> NFs x
   | Scal V.Null -> NNull
@@ -184,48 +296,40 @@ let float_ops = function
   | "/" -> Some ( /. )
   | _ -> None
 
-let cmp_test = function
-  | "=" -> Some (fun c -> c = 0)
-  | "<>" -> Some (fun c -> c <> 0)
-  | "<" -> Some (fun c -> c < 0)
-  | "<=" -> Some (fun c -> c <= 0)
-  | ">" -> Some (fun c -> c > 0)
-  | ">=" -> Some (fun c -> c >= 0)
-  | _ -> None
-
 (* Per-row fallback through the scalar kernel: exact row-engine semantics
    (including error messages) at boxed speed, for odd type combinations. *)
 let boxed_binop op n a b =
-  let va = Array.init n (fun i -> Eval.apply_binop op (vv_get n a i) (vv_get n b i)) in
+  let va = Array.init n (fun i -> Eval.apply_binop op (vv_get a i) (vv_get b i)) in
   Vec (C.of_values va)
 
-(* Materialize a numeric operand as a full-width typed buffer, so the op
-   loops below run closure-free (composing accessor closures would box
-   floats at every call). Padding under a null mask stays 0/0.0. *)
+(* A numeric operand as a typed buffer plus read selection, so the op loops
+   below run closure-free (composing accessor closures would box floats at
+   every call). Constants and int-to-float promotions are materialized
+   dense; padding under a null mask stays 0/0.0. *)
 let int_coerce n = function
-  | NIv a -> a
+  | NIv (a, ix) -> (a, ix)
   | NIs x ->
       let out = C.scratch_ints n in
       BA1.fill out x;
-      out
+      (out, None)
   | _ -> assert false
 
 let float_coerce n = function
-  | NFv a -> a
-  | NIv a ->
+  | NFv (a, ix) -> (a, ix)
+  | NIv (a, ix) ->
       let out = C.scratch_floats n in
-      for i = 0 to n - 1 do
-        BA1.unsafe_set out i (float_of_int (BA1.unsafe_get a i))
+      for j = 0 to n - 1 do
+        BA1.unsafe_set out j (float_of_int (BA1.unsafe_get a (phys ix j)))
       done;
-      out
+      (out, None)
   | NFs x ->
       let out = C.scratch_floats n in
       BA1.fill out x;
-      out
+      (out, None)
   | NIs x ->
       let out = C.scratch_floats n in
       BA1.fill out (float_of_int x);
-      out
+      (out, None)
   | _ -> assert false
 
 let arith op n a b =
@@ -234,154 +338,256 @@ let arith op n a b =
       (* NULL absorbs before any type checking, as in Value.arith *)
       Vec (all_null n)
   | Some fi, _, ((NIv _ | NIs _) as va), ((NIv _ | NIs _) as vb) ->
-      let x = int_coerce n va and y = int_coerce n vb in
+      let x, xi = int_coerce n va and y, yi = int_coerce n vb in
       let out = C.scratch_ints n in
       let nulls = merged_nulls n a b in
       (match (op, nulls) with
       | "+", None ->
-          for i = 0 to n - 1 do
-            BA1.unsafe_set out i (BA1.unsafe_get x i + BA1.unsafe_get y i)
+          for j = 0 to n - 1 do
+            BA1.unsafe_set out j
+              (BA1.unsafe_get x (phys xi j) + BA1.unsafe_get y (phys yi j))
           done
       | "-", None ->
-          for i = 0 to n - 1 do
-            BA1.unsafe_set out i (BA1.unsafe_get x i - BA1.unsafe_get y i)
+          for j = 0 to n - 1 do
+            BA1.unsafe_set out j
+              (BA1.unsafe_get x (phys xi j) - BA1.unsafe_get y (phys yi j))
           done
       | "*", None ->
-          for i = 0 to n - 1 do
-            BA1.unsafe_set out i (BA1.unsafe_get x i * BA1.unsafe_get y i)
+          for j = 0 to n - 1 do
+            BA1.unsafe_set out j
+              (BA1.unsafe_get x (phys xi j) * BA1.unsafe_get y (phys yi j))
           done
       | _, None ->
-          for i = 0 to n - 1 do
-            BA1.unsafe_set out i (fi (BA1.unsafe_get x i) (BA1.unsafe_get y i))
+          for j = 0 to n - 1 do
+            BA1.unsafe_set out j
+              (fi (BA1.unsafe_get x (phys xi j)) (BA1.unsafe_get y (phys yi j)))
           done
       | _, Some m ->
           (* masked rows are skipped, not computed: 0 padding under the
              mask must not raise Division_by_zero *)
-          for i = 0 to n - 1 do
-            if Bytes.unsafe_get m i = '\000' then
-              BA1.unsafe_set out i (fi (BA1.unsafe_get x i) (BA1.unsafe_get y i))
-            else BA1.unsafe_set out i 0
+          for j = 0 to n - 1 do
+            if Bytes.unsafe_get m j = '\000' then
+              BA1.unsafe_set out j
+                (fi (BA1.unsafe_get x (phys xi j)) (BA1.unsafe_get y (phys yi j)))
+            else BA1.unsafe_set out j 0
           done);
       Vec { C.data = C.Ints out; nulls }
   | _, Some _, ((NIv _ | NIs _ | NFv _ | NFs _) as va), ((NIv _ | NIs _ | NFv _ | NFs _) as vb)
     ->
-      let x = float_coerce n va and y = float_coerce n vb in
+      let x, xi = float_coerce n va and y, yi = float_coerce n vb in
       let out = C.scratch_floats n in
       let nulls = merged_nulls n a b in
       (* float ops cannot raise: compute every row branch-free, then zero
          the padding under the mask *)
       (match op with
       | "+" ->
-          for i = 0 to n - 1 do
-            BA1.unsafe_set out i (BA1.unsafe_get x i +. BA1.unsafe_get y i)
+          for j = 0 to n - 1 do
+            BA1.unsafe_set out j
+              (BA1.unsafe_get x (phys xi j) +. BA1.unsafe_get y (phys yi j))
           done
       | "-" ->
-          for i = 0 to n - 1 do
-            BA1.unsafe_set out i (BA1.unsafe_get x i -. BA1.unsafe_get y i)
+          for j = 0 to n - 1 do
+            BA1.unsafe_set out j
+              (BA1.unsafe_get x (phys xi j) -. BA1.unsafe_get y (phys yi j))
           done
       | "*" ->
-          for i = 0 to n - 1 do
-            BA1.unsafe_set out i (BA1.unsafe_get x i *. BA1.unsafe_get y i)
+          for j = 0 to n - 1 do
+            BA1.unsafe_set out j
+              (BA1.unsafe_get x (phys xi j) *. BA1.unsafe_get y (phys yi j))
           done
       | "/" ->
-          for i = 0 to n - 1 do
-            BA1.unsafe_set out i (BA1.unsafe_get x i /. BA1.unsafe_get y i)
+          for j = 0 to n - 1 do
+            BA1.unsafe_set out j
+              (BA1.unsafe_get x (phys xi j) /. BA1.unsafe_get y (phys yi j))
           done
       | _ -> assert false);
       (match nulls with
       | Some m ->
-          for i = 0 to n - 1 do
-            if Bytes.unsafe_get m i = '\001' then BA1.unsafe_set out i 0.0
+          for j = 0 to n - 1 do
+            if Bytes.unsafe_get m j = '\001' then BA1.unsafe_set out j 0.0
           done
       | None -> ());
       Vec { C.data = C.Floats out; nulls }
   | _ -> boxed_binop op n a b
 
+(* ------------------------------------------------------------------ *)
+(* Comparisons                                                         *)
+(* ------------------------------------------------------------------ *)
+
+type cop = Lt | Le | Gt | Ge | Eq | Ne
+
+let cop_of = function
+  | "<" -> Some Lt
+  | "<=" -> Some Le
+  | ">" -> Some Gt
+  | ">=" -> Some Ge
+  | "=" -> Some Eq
+  | "<>" -> Some Ne
+  | _ -> None
+
+(* [c op x] is [x (flip op) c]: [compare] and [Float.compare] are
+   antisymmetric. *)
+let flip = function Lt -> Gt | Le -> Ge | Gt -> Lt | Ge -> Le | (Eq | Ne) as o -> o
+
+let holds op c =
+  match op with
+  | Lt -> c < 0
+  | Le -> c <= 0
+  | Gt -> c > 0
+  | Ge -> c >= 0
+  | Eq -> c = 0
+  | Ne -> c <> 0
+
+(* A column compared with a constant, in the column's physical type. *)
+type ctest =
+  | Ti of C.ints * int  (* INT column with an INT, or DATE with a DATE *)
+  | Tf of C.floats * float  (* FLOAT column with a non-NaN number *)
+  | Td of C.ints * Bytes.t  (* dictionary codes with a per-code verdict *)
+
+let ctest op (c : C.t) k =
+  match (c.C.data, k) with
+  | C.Ints a, V.Int x | C.Dates a, V.Date x -> Some (Ti (a, x))
+  | C.Floats a, V.Float x when not (Float.is_nan x) -> Some (Tf (a, x))
+  | C.Floats a, V.Int x -> Some (Tf (a, float_of_int x))
+  | C.Dict (codes, dict), V.Str s ->
+      let ok = Bytes.make (Array.length dict) '\000' in
+      Array.iteri
+        (fun code d -> if holds op (String.compare d s) then Bytes.set ok code '\001')
+        dict;
+      Some (Td (codes, ok))
+  | _ -> None
+
+(* 1 unless row [i] is NULL. *)
+let[@inline] valid nulls i =
+  match nulls with None -> 1 | Some m -> if Bytes.unsafe_get m i = '\001' then 0 else 1
+
+(* One pass over [n] live rows: the [oix]-mapped positions of the non-NULL
+   rows where [x op k] holds, written into [out]; returns their count.
+   Column values are read at [rix]-mapped positions. Every row is stored
+   and the count advanced by the test's outcome, so the loop has no
+   data-dependent branch to mispredict. Floats order like [Float.compare]
+   (NaN below every number), which for a non-NaN constant makes <, <= and
+   <> the negations of >=, > and =. *)
+let test_rows op t nulls rix oix n (out : C.ints) =
+  let k = ref 0 in
+  (match t with
+  | Ti (a, c) ->
+      for j = 0 to n - 1 do
+        let i = phys rix j in
+        let x = BA1.unsafe_get a i in
+        let hit =
+          match op with
+          | Lt -> x < c
+          | Le -> x <= c
+          | Gt -> x > c
+          | Ge -> x >= c
+          | Eq -> x = c
+          | Ne -> x <> c
+        in
+        BA1.unsafe_set out !k (phys oix j);
+        k := !k + (Bool.to_int hit land valid nulls i)
+      done
+  | Tf (a, c) ->
+      for j = 0 to n - 1 do
+        let i = phys rix j in
+        let x = BA1.unsafe_get a i in
+        let hit =
+          match op with
+          | Lt -> not (x >= c)
+          | Le -> not (x > c)
+          | Gt -> x > c
+          | Ge -> x >= c
+          | Eq -> x = c
+          | Ne -> not (x = c)
+        in
+        BA1.unsafe_set out !k (phys oix j);
+        k := !k + (Bool.to_int hit land valid nulls i)
+      done
+  | Td (codes, ok) ->
+      for j = 0 to n - 1 do
+        let i = phys rix j in
+        BA1.unsafe_set out !k (phys oix j);
+        k :=
+          !k
+          + (Char.code (Bytes.unsafe_get ok (BA1.unsafe_get codes i)) land valid nulls i)
+      done);
+  !k
+
+(* The typed kernel for a column compared with a constant (either side):
+   [Some (rows, count)] with rows mapped through [oix], or [None] when the
+   operand shapes need the generic path. *)
+let cmp_rows op ~oix n a b =
+  let run op c rix k =
+    match ctest op c k with
+    | None -> None
+    | Some t ->
+        let out = C.scratch_ints n in
+        Some (out, test_rows op t c.C.nulls rix oix n out)
+  in
+  match (a, b) with
+  | Vec c, Scal k -> run op c None k
+  | Sel (c, ix), Scal k -> run op c (Some ix) k
+  | Scal k, Vec c -> run (flip op) c None k
+  | Scal k, Sel (c, ix) -> run (flip op) c (Some ix) k
+  | _ -> None
+
+(* Per-row comparison for the remaining operand shapes (two columns, an
+   INT column against a FLOAT, a NaN constant): [Some at] where [at i] is
+   a V.compare-compatible int for non-null rows. *)
 let compare_kernel a b =
-  (* Returns [Some at] where [at i] is a V.compare-compatible int for
-     non-null rows, or [None] when no typed comparison applies. *)
   match (a, b) with
   | Vec { C.data = C.Dates x; _ }, Vec { C.data = C.Dates y; _ } ->
       Some (fun i -> compare (BA1.unsafe_get x i) (BA1.unsafe_get y i))
-  | Vec { C.data = C.Dates x; _ }, Scal (V.Date y) ->
-      Some (fun i -> compare (BA1.unsafe_get x i) y)
-  | Scal (V.Date x), Vec { C.data = C.Dates y; _ } ->
-      Some (fun i -> compare x (BA1.unsafe_get y i))
   | Vec { C.data = C.Dict (xc, xd); _ }, Vec { C.data = C.Dict (yc, yd); _ } ->
       Some
         (fun i -> String.compare xd.(BA1.unsafe_get xc i) yd.(BA1.unsafe_get yc i))
-  | Vec { C.data = C.Dict (xc, xd); _ }, Scal (V.Str s) ->
-      (* precompute per-dictionary-code comparisons once *)
-      let byc = Array.map (fun d -> String.compare d s) xd in
-      Some (fun i -> byc.(BA1.unsafe_get xc i))
-  | Scal (V.Str s), Vec { C.data = C.Dict (yc, yd); _ } ->
-      let byc = Array.map (fun d -> String.compare s d) yd in
-      Some (fun i -> byc.(BA1.unsafe_get yc i))
   | _ -> (
       (* one monomorphic closure per operand-shape pair: composing generic
-         accessor closures would box every float crossing the boundary,
-         which dominates the kernel at batch sizes *)
+         accessor closures would box every float crossing the boundary *)
       match (num_view a, num_view b) with
-      | NIv x, NIv y ->
+      | NIv (x, _), NIv (y, _) ->
           Some (fun i -> compare (BA1.unsafe_get x i) (BA1.unsafe_get y i))
-      | NIv x, NIs y -> Some (fun i -> compare (BA1.unsafe_get x i) y)
-      | NIs x, NIv y -> Some (fun i -> compare x (BA1.unsafe_get y i))
-      | NIs x, NIs y ->
-          let c = compare x y in
-          Some (fun _ -> c)
-      | NFv x, NFv y ->
+      | NFv (x, _), NFv (y, _) ->
           Some (fun i -> Float.compare (BA1.unsafe_get x i) (BA1.unsafe_get y i))
-      | NFv x, NFs y -> Some (fun i -> Float.compare (BA1.unsafe_get x i) y)
-      | NFs x, NFv y -> Some (fun i -> Float.compare x (BA1.unsafe_get y i))
-      | NFs x, NFs y ->
-          let c = Float.compare x y in
-          Some (fun _ -> c)
-      | NFv x, NIv y ->
+      | NFv (x, _), NIv (y, _) ->
           Some
             (fun i ->
               Float.compare (BA1.unsafe_get x i) (float_of_int (BA1.unsafe_get y i)))
-      | NIv x, NFv y ->
+      | NIv (x, _), NFv (y, _) ->
           Some
             (fun i ->
               Float.compare (float_of_int (BA1.unsafe_get x i)) (BA1.unsafe_get y i))
-      | NFv x, NIs y ->
-          let yf = float_of_int y in
-          Some (fun i -> Float.compare (BA1.unsafe_get x i) yf)
-      | NIs x, NFv y ->
-          let xf = float_of_int x in
-          Some (fun i -> Float.compare xf (BA1.unsafe_get y i))
-      | NIv x, NFs y ->
+      | NFv (x, _), NFs y -> Some (fun i -> Float.compare (BA1.unsafe_get x i) y)
+      | NFs x, NFv (y, _) -> Some (fun i -> Float.compare x (BA1.unsafe_get y i))
+      | NIv (x, _), NFs y ->
           Some (fun i -> Float.compare (float_of_int (BA1.unsafe_get x i)) y)
-      | NFs x, NIv y ->
+      | NFs x, NIv (y, _) ->
           Some (fun i -> Float.compare x (float_of_int (BA1.unsafe_get y i)))
-      | NIs x, NFs y ->
-          let c = Float.compare (float_of_int x) y in
-          Some (fun _ -> c)
-      | NFs x, NIs y ->
-          let c = Float.compare x (float_of_int y) in
-          Some (fun _ -> c)
-      | (NNull | NOther), _ | _, (NNull | NOther) -> None)
+      | _ -> None)
 
+(* A comparison as a boolean column over [n] rows. *)
 let cmp op n a b =
-  match cmp_test op with
+  match cop_of op with
   | None -> boxed_binop op n a b
-  | Some test -> (
-      match compare_kernel a b with
-      | None -> boxed_binop op n a b
-      | Some at ->
-          let bits = Bytes.make n '\000' in
-          let nulls = merged_nulls n a b in
-          (match nulls with
-          | None ->
+  | Some o -> (
+      let nulls = merged_nulls n a b in
+      let bits = Bytes.make n '\000' in
+      match cmp_rows o ~oix:None n a b with
+      | Some (idx, k) ->
+          for j = 0 to k - 1 do
+            Bytes.unsafe_set bits (BA1.unsafe_get idx j) '\001'
+          done;
+          Vec { C.data = C.Bools bits; nulls }
+      | None -> (
+          let a = dense n a and b = dense n b in
+          match compare_kernel a b with
+          | None -> boxed_binop op n a b
+          | Some at ->
               for i = 0 to n - 1 do
-                if test (at i) then Bytes.unsafe_set bits i '\001'
-              done
-          | Some m ->
-              for i = 0 to n - 1 do
-                if Bytes.unsafe_get m i = '\000' && test (at i) then
+                if (not (null_in nulls i)) && holds o (at i) then
                   Bytes.unsafe_set bits i '\001'
-              done);
-          Vec { C.data = C.Bools bits; nulls })
+              done;
+              Vec { C.data = C.Bools bits; nulls }))
 
 (* three-valued truth of a row: 0 = FALSE, 1 = TRUE, 2 = NULL; raises on
    non-boolean exactly where the scalar kernel would *)
@@ -391,43 +597,50 @@ let tri_of_value op = function
   | V.Null -> 2
   | _ -> raise (V.Type_error (op ^ " applied to non-boolean value"))
 
-let tri_at op v =
-  match v with
+let tri_at op n v =
+  match dense n v with
   | Scal s ->
       let t = tri_of_value op s in
       fun _ -> t
   | Vec ({ C.data = C.Bools bits; _ } as c) ->
       fun i -> if C.is_null c i then 2 else Char.code (Bytes.unsafe_get bits i)
   | Vec c -> fun i -> tri_of_value op (C.get c i)
+  | Sel _ -> assert false
 
-(* Compact a select working set down to the columns [e] references and the
-   rows of [sel] — the sub-batch on which a lazily-evaluated operand runs. *)
-let compact_for ctx (sel, k) e =
-  let refs =
-    List.sort_uniq compare
-      (List.map (fun r -> (r.B.quant, String.lowercase_ascii r.B.col)) (E.cols e))
-  in
-  let pairs =
-    List.filter_map
-      (fun (q, c) ->
-        match lay_index ctx.lay q c with
-        | Some i -> Some ((q, c), C.gather ctx.lcols.(i) sel k)
-        | None -> None)
-      refs
-  in
-  {
-    lay = Array.of_list (List.map fst pairs);
-    lcols = Array.of_list (List.map snd pairs);
-    ln = k;
-  }
+(* Integer projections of a DATE column (yyyymmdd). *)
+let date_part f (a : C.ints) ix n =
+  let out = C.scratch_ints n in
+  (match f with
+  | "year" ->
+      for j = 0 to n - 1 do
+        BA1.unsafe_set out j (BA1.unsafe_get a (phys ix j) / 10000)
+      done
+  | "month" ->
+      for j = 0 to n - 1 do
+        BA1.unsafe_set out j (BA1.unsafe_get a (phys ix j) / 100 mod 100)
+      done
+  | _ ->
+      for j = 0 to n - 1 do
+        BA1.unsafe_set out j (BA1.unsafe_get a (phys ix j) mod 100)
+      done);
+  out
+
+(* A column's null mask over the live rows. *)
+let live_nulls (c : C.t) (ix : C.ints option) n =
+  match (c.C.nulls, ix) with
+  | None, _ -> None
+  | m, None -> m
+  | Some m, Some s -> Some (Bytes.init n (fun j -> Bytes.unsafe_get m (BA1.unsafe_get s j)))
 
 let rec eval (ctx : lbatch) (e : B.qref E.t) : vv =
   let n = ctx.ln in
   match e with
   | E.Const v -> Scal v
-  | E.Col r -> Vec (lookup_col ctx r)
+  | E.Col r -> (
+      let c = lookup_col ctx r in
+      match ctx.lix with None -> Vec c | Some ix -> Sel (c, ix))
   | E.Unop ("-", e') -> (
-      let v = eval ctx e' in
+      let v = dense n (eval ctx e') in
       match v with
       | Scal s -> Scal (V.neg s)
       | Vec ({ C.data = C.Ints a; _ } as c) ->
@@ -442,10 +655,10 @@ let rec eval (ctx : lbatch) (e : B.qref E.t) : vv =
             BA1.unsafe_set out i (-.BA1.unsafe_get a i)
           done;
           Vec { c with C.data = C.Floats out }
-      | Vec c -> Vec (C.of_values (Array.init n (fun i -> V.neg (C.get c i)))))
+      | v -> Vec (C.of_values (Array.init n (fun i -> V.neg (vv_get v i)))))
   | E.Unop ("NOT", e') ->
       let v = eval ctx e' in
-      let at = tri_at "NOT" v in
+      let at = tri_at "NOT" n v in
       let bits = Bytes.make n '\000' in
       let nulls = ref None in
       for i = 0 to n - 1 do
@@ -468,7 +681,7 @@ let rec eval (ctx : lbatch) (e : B.qref E.t) : vv =
       match (va, vb) with
       | Scal x, Scal y -> Scal (Eval.apply_binop op x y)
       | _ ->
-          if cmp_test op <> None then cmp op n va vb
+          if cop_of op <> None then cmp op n va vb
           else if int_ops op <> None || float_ops op <> None then arith op n va vb
           else boxed_binop op n va vb)
   | E.Fncall (f, args) -> eval_fn ctx f args
@@ -477,10 +690,10 @@ let rec eval (ctx : lbatch) (e : B.qref E.t) : vv =
       let v = eval ctx e' in
       match v with
       | Scal s -> Scal (V.Bool (if positive then V.is_null s else not (V.is_null s)))
-      | Vec c ->
+      | v ->
           let bits = Bytes.make n '\000' in
           for i = 0 to n - 1 do
-            if C.is_null c i = positive then Bytes.unsafe_set bits i '\001'
+            if vv_null v i = positive then Bytes.unsafe_set bits i '\001'
           done;
           Vec { C.data = C.Bools bits; nulls = None })
   | E.Case _ -> err "CASE is not vectorized (row fallback expected)"
@@ -491,7 +704,7 @@ and and_or ctx ~op a b =
   let n = ctx.ln in
   let va = eval ctx a in
   let short = if op = "AND" then 0 else 1 in
-  let ta = tri_at op va in
+  let ta = tri_at op n va in
   (* rows the row engine would evaluate [b] on *)
   let live = ibuf_create n in
   let tas = Bytes.make n '\000' in
@@ -505,11 +718,10 @@ and and_or ctx ~op a b =
     if k = 0 then fun _ -> 0 (* never consulted *)
     else if k = n then
       let vb = eval ctx b in
-      tri_at op vb
+      tri_at op n vb
     else begin
-      let sub = compact_for ctx (sel, k) b in
-      let vb = eval sub b in
-      let at = tri_at op vb in
+      let vb = eval (restrict ctx (sel, k)) b in
+      let at = tri_at op k vb in
       (* scatter: row index -> tri *)
       let by_row = Bytes.make n '\000' in
       for j = 0 to k - 1 do
@@ -551,91 +763,79 @@ and eval_fn ctx f args =
   let n = ctx.ln in
   let vs = List.map (eval ctx) args in
   let boxed () =
-    if List.for_all (function Scal _ -> true | Vec _ -> false) vs then
-      Scal (Eval.apply_fn f (List.map (fun v -> vv_get n v 0) vs))
+    if List.for_all (function Scal _ -> true | _ -> false) vs then
+      Scal (Eval.apply_fn f (List.map (fun v -> vv_get v 0) vs))
     else
       Vec
         (C.of_values
-           (Array.init n (fun i -> Eval.apply_fn f (List.map (fun v -> vv_get n v i) vs))))
+           (Array.init n (fun i -> Eval.apply_fn f (List.map (fun v -> vv_get v i) vs))))
   in
-  let imap a f =
-    let k = BA1.dim a in
-    let out = C.scratch_ints k in
-    for i = 0 to k - 1 do
-      BA1.unsafe_set out i (f (BA1.unsafe_get a i))
-    done;
-    out
+  let col_ix = function
+    | Vec c -> Some (c, None)
+    | Sel (c, ix) -> Some (c, Some ix)
+    | Scal _ -> None
   in
-  match (String.lowercase_ascii f, vs) with
-  | ("year" | "month" | "day"), [ Vec ({ C.data = C.Dates a; _ } as c) ] ->
-      let proj =
-        match String.lowercase_ascii f with
-        | "year" -> fun e -> e / 10000
-        | "month" -> fun e -> e / 100 mod 100
-        | _ -> fun e -> e mod 100
-      in
-      Vec { C.data = C.Ints (imap a proj); nulls = c.C.nulls }
-  | "float", [ Vec ({ C.data = C.Ints a; _ } as c) ] ->
-      let k = BA1.dim a in
-      let out = C.scratch_floats k in
-      for i = 0 to k - 1 do
-        BA1.unsafe_set out i (float_of_int (BA1.unsafe_get a i))
+  match (String.lowercase_ascii f, List.map col_ix vs) with
+  | (("year" | "month" | "day") as part), [ Some (({ C.data = C.Dates a; _ } as c), ix) ] ->
+      Vec { C.data = C.Ints (date_part part a ix n); nulls = live_nulls c ix n }
+  | "float", [ Some (({ C.data = C.Ints a; _ } as c), ix) ] ->
+      let out = C.scratch_floats n in
+      for j = 0 to n - 1 do
+        BA1.unsafe_set out j (float_of_int (BA1.unsafe_get a (phys ix j)))
       done;
-      Vec { C.data = C.Floats out; nulls = c.C.nulls }
-  | "float", [ (Vec { C.data = C.Floats _; _ } as v) ] -> v
-  | "abs", [ Vec ({ C.data = C.Ints a; _ } as c) ] ->
-      Vec { C.data = C.Ints (imap a abs); nulls = c.C.nulls }
-  | "abs", [ Vec ({ C.data = C.Floats a; _ } as c) ] ->
-      let k = BA1.dim a in
-      let out = C.scratch_floats k in
-      for i = 0 to k - 1 do
-        BA1.unsafe_set out i (Float.abs (BA1.unsafe_get a i))
+      Vec { C.data = C.Floats out; nulls = live_nulls c ix n }
+  | "float", [ Some ({ C.data = C.Floats _; _ }, _) ] -> List.hd vs
+  | "abs", [ Some (({ C.data = C.Ints a; _ } as c), ix) ] ->
+      let out = C.scratch_ints n in
+      for j = 0 to n - 1 do
+        BA1.unsafe_set out j (abs (BA1.unsafe_get a (phys ix j)))
       done;
-      Vec { C.data = C.Floats out; nulls = c.C.nulls }
+      Vec { C.data = C.Ints out; nulls = live_nulls c ix n }
+  | "abs", [ Some (({ C.data = C.Floats a; _ } as c), ix) ] ->
+      let out = C.scratch_floats n in
+      for j = 0 to n - 1 do
+        BA1.unsafe_set out j (Float.abs (BA1.unsafe_get a (phys ix j)))
+      done;
+      Vec { C.data = C.Floats out; nulls = live_nulls c ix n }
   | _ -> boxed ()
 
-(* Selection: indices (ascending) of rows where [p] is definitely TRUE,
-   as a (buffer, count) pair. *)
-let select_rows ctx p =
+(* Narrow the working set to the live rows where [p] is definitely TRUE.
+   A column-constant comparison runs as one typed pass that writes the
+   narrowed selection; anything else evaluates to a truth column first. *)
+let filter ctx p =
   let n = ctx.ln in
-  match eval ctx p with
-  | Scal s ->
-      if V.is_true s then begin
-        let idx = C.scratch_ints n in
-        for i = 0 to n - 1 do
-          BA1.unsafe_set idx i i
-        done;
-        (idx, n)
-      end
-      else (C.scratch_ints 0, 0)
-  | Vec ({ C.data = C.Bools bits; _ } as c) ->
-      (* exact two-pass: count survivors, then fill a right-sized buffer *)
-      let k = ref 0 in
-      for i = 0 to n - 1 do
-        if Bytes.unsafe_get bits i = '\001' && not (C.is_null c i) then incr k
-      done;
-      let idx = C.scratch_ints !k in
-      let j = ref 0 in
-      for i = 0 to n - 1 do
-        if Bytes.unsafe_get bits i = '\001' && not (C.is_null c i) then begin
-          BA1.unsafe_set idx !j i;
-          incr j
-        end
-      done;
-      (idx, !k)
-  | Vec c ->
-      let buf = ibuf_create (n / 2) in
-      for i = 0 to n - 1 do
-        if V.is_true (C.get c i) then ibuf_push buf i
-      done;
-      ibuf_sel buf
-
-let gather_lbatch ctx (sel, k) =
-  {
-    lay = ctx.lay;
-    lcols = Array.map (fun c -> C.gather c sel k) ctx.lcols;
-    ln = k;
-  }
+  let narrow (idx, k) = { ctx with ln = k; lix = Some idx } in
+  let of_truth = function
+    | Scal s -> if V.is_true s then ctx else narrow (C.scratch_ints 0, 0)
+    | v ->
+        let out = C.scratch_ints n in
+        let k = ref 0 in
+        let keep j =
+          BA1.unsafe_set out !k (phys ctx.lix j);
+          incr k
+        in
+        (match dense n v with
+        | Vec { C.data = C.Bools bits; nulls } ->
+            for j = 0 to n - 1 do
+              if Bytes.unsafe_get bits j = '\001' && not (null_in nulls j) then keep j
+            done
+        | v ->
+            for j = 0 to n - 1 do
+              if V.is_true (vv_get v j) then keep j
+            done);
+        narrow (out, !k)
+  in
+  match p with
+  | E.Binop (op, a, b) when cop_of op <> None -> (
+      let va = eval ctx a in
+      let vb = eval ctx b in
+      match (va, vb) with
+      | Scal x, Scal y -> of_truth (Scal (Eval.apply_binop op x y))
+      | _ -> (
+          match cmp_rows (Option.get (cop_of op)) ~oix:ctx.lix n va vb with
+          | Some r -> narrow r
+          | None -> of_truth (cmp op n va vb)))
+  | _ -> of_truth (eval ctx p)
 
 (* ------------------------------------------------------------------ *)
 (* Base scan                                                           *)
@@ -685,31 +885,24 @@ let rec pred_safe = function
    entry (e.g. the -1 sentinel from dictionary translation) simply misses. *)
 let chain_join (build : C.ints) (bnulls : Bytes.t option) n_build
     (probe_null : int -> bool) (probe_key : int -> int) n_probe li ri =
-  let head = Hashtbl.create (max 16 n_build) in
+  let head = itab_create n_build in
   let next = Array.make (max 1 n_build) (-1) in
   for i = n_build - 1 downto 0 do
-    let isnull =
-      match bnulls with Some m -> Bytes.unsafe_get m i = '\001' | None -> false
-    in
-    if not isnull then begin
+    if not (null_in bnulls i) then begin
       let k = BA1.unsafe_get build i in
-      (match Hashtbl.find_opt head k with
-      | Some j -> Array.unsafe_set next i j
-      | None -> ());
-      Hashtbl.replace head k i
+      Array.unsafe_set next i (itab_find head k);
+      itab_replace head k i
     end
   done;
   for l = 0 to n_probe - 1 do
-    if not (probe_null l) then
-      match Hashtbl.find_opt head (probe_key l) with
-      | None -> ()
-      | Some j0 ->
-          let j = ref j0 in
-          while !j >= 0 do
-            ibuf_push li l;
-            ibuf_push ri !j;
-            j := Array.unsafe_get next !j
-          done
+    if not (probe_null l) then begin
+      let j = ref (itab_find head (probe_key l)) in
+      while !j >= 0 do
+        ibuf_push li l;
+        ibuf_push ri !j;
+        j := Array.unsafe_get next !j
+      done
+    end
   done
 
 let generic_join_matches (build_key : int -> V.t list option) n_build
@@ -721,10 +914,10 @@ let generic_join_matches (build_key : int -> V.t list option) n_build
   fun p ->
     match probe_key p with None -> [] | Some k -> List.rev (VH.find_all ht k)
 
-let exec_select ~(child : B.quant -> C.batch) (sel : B.select_body) : C.batch =
-  let { B.sel_quants = quants; sel_preds = preds; sel_outs = outs; sel_distinct = distinct } =
-    sel
-  in
+(* Joins and filters of a select box: its working set with every predicate
+   applied, before output projection. *)
+let select_rows ~(child : B.quant -> C.batch) (sel : B.select_body) : lbatch =
+  let { B.sel_quants = quants; sel_preds = preds; sel_outs = outs; _ } = sel in
   (* initial working set: scalar-subquery columns as single-row constants *)
   let init_lay = ref [] and init_cols = ref [] in
   List.iter
@@ -750,6 +943,7 @@ let exec_select ~(child : B.quant -> C.batch) (sel : B.select_body) : C.batch =
         lay = Array.of_list !init_lay;
         lcols = Array.of_list !init_cols;
         ln = 1;
+        lix = None;
       }
   in
   let pending = ref (List.map (fun p -> (p, pred_quant_set p)) preds) in
@@ -777,9 +971,9 @@ let exec_select ~(child : B.quant -> C.batch) (sel : B.select_body) : C.batch =
     if Array.length ks = Array.length b.lay then b
     else
       {
+        b with
         lay = Array.map (fun i -> b.lay.(i)) ks;
         lcols = Array.map (fun i -> b.lcols.(i)) ks;
-        ln = b.ln;
       }
   in
   let lay_quants () =
@@ -793,11 +987,7 @@ let exec_select ~(child : B.quant -> C.batch) (sel : B.select_body) : C.batch =
         !pending
     in
     pending := rest;
-    List.iter
-      (fun (p, _) ->
-        let (_, k) as sel = select_rows !ctx p in
-        if k <> !ctx.ln then ctx := gather_lbatch !ctx sel)
-      applicable
+    List.iter (fun (p, _) -> ctx := filter !ctx p) applicable
   in
   apply_applicable ();
   List.iter
@@ -846,8 +1036,7 @@ let exec_select ~(child : B.quant -> C.batch) (sel : B.select_body) : C.batch =
           List.partition (fun (p, qs) -> qs = [ q.B.q_id ] && pred_safe p) !pending
         in
         pending := rest;
-        (* drop child columns nothing can touch anymore — before the
-           pushdown filter materializes them *)
+        (* drop child columns nothing can touch anymore *)
         let need0 =
           let tbl = needed () in
           let note e =
@@ -864,39 +1053,38 @@ let exec_select ~(child : B.quant -> C.batch) (sel : B.select_body) : C.batch =
           tbl
         in
         let cbatch =
-          ref
+          List.fold_left
+            (fun b (p, _) -> filter b p)
             (prune_lbatch need0
                {
                  lay = Array.map (fun nm -> (q.B.q_id, nm)) cb_lnames;
                  lcols = cb.C.cols;
                  ln = cb.C.nrows;
+                 lix = None;
                })
-        in
-        List.iter
-          (fun (p, _) ->
-            let (_, k) as s = select_rows !cbatch p in
-            if k <> !cbatch.ln then cbatch := gather_lbatch !cbatch s)
-          pushed;
-        let key_pairs =
-          List.map
-            (fun (nm, yref) ->
-              let bc =
-                match lay_index !cbatch.lay q.B.q_id nm with
-                | Some i -> !cbatch.lcols.(i)
-                | None -> err "join key %s pruned (internal error)" nm
-              in
-              (bc, lookup_col !ctx yref))
-            !keys
+            pushed
         in
         let need = needed () in
-        let cpruned = prune_lbatch need !cbatch in
-        if Array.length !ctx.lay = 0 && !ctx.ln = 1 && key_pairs = [] then
+        let cpruned = prune_lbatch need cbatch in
+        if Array.length !ctx.lay = 0 && !ctx.ln = 1 && !keys = [] then
           (* first scan over the unit row: adopt the filtered, pruned child
-             wholesale instead of gathering a cross product *)
+             wholesale (selection and all) instead of joining *)
           ctx := cpruned
         else begin
-          let lpruned = prune_lbatch need !ctx in
-          let nl = !ctx.ln and nr = !cbatch.ln in
+          let key_pairs =
+            List.map
+              (fun (nm, yref) ->
+                let bc =
+                  match lay_index cbatch.lay q.B.q_id nm with
+                  | Some i -> live_col cbatch cbatch.lcols.(i)
+                  | None -> err "join key %s pruned (internal error)" nm
+                in
+                (bc, live_col !ctx (lookup_col !ctx yref)))
+              !keys
+          in
+          let lpruned = densify (prune_lbatch need !ctx)
+          and cpruned = densify cpruned in
+          let nl = !ctx.ln and nr = cbatch.ln in
           let li = ibuf_create (max 16 (max nl nr)) in
           let ri = ibuf_create (max 16 (max nl nr)) in
           (match key_pairs with
@@ -979,6 +1167,7 @@ let exec_select ~(child : B.quant -> C.batch) (sel : B.select_body) : C.batch =
                   (Array.map (fun c -> C.gather c lsel lk) lpruned.lcols)
                   (Array.map (fun c -> C.gather c rsel lk) cpruned.lcols);
               ln = lk;
+              lix = None;
             }
         end;
         apply_applicable ()
@@ -987,19 +1176,19 @@ let exec_select ~(child : B.quant -> C.batch) (sel : B.select_body) : C.batch =
   if !pending <> [] then
     err "predicate references unavailable quantifier (internal error)";
   Obs.Metrics.add x_batch_rows !ctx.ln;
-  (* project outputs *)
-  let out_names = List.map fst outs in
-  let out_cols =
-    List.map (fun (_, e) -> vv_col !ctx.ln (eval !ctx e)) outs
-  in
-  let result =
-    {
-      C.names = Array.of_list out_names;
-      cols = Array.of_list out_cols;
-      nrows = !ctx.ln;
-    }
-  in
-  if not distinct then result
+  !ctx
+
+(* Output projection over the live rows. *)
+let project ctx outs : C.batch =
+  {
+    C.names = Array.of_list (List.map fst outs);
+    cols = Array.of_list (List.map (fun (_, e) -> vv_col ctx.ln (eval ctx e)) outs);
+    nrows = ctx.ln;
+  }
+
+let exec_select ~child (sel : B.select_body) : C.batch =
+  let result = project (select_rows ~child sel) sel.B.sel_outs in
+  if not sel.B.sel_distinct then result
   else begin
     let seen = VH.create 64 in
     let keep = ibuf_create result.C.nrows in
@@ -1018,105 +1207,152 @@ let exec_select ~(child : B.quant -> C.batch) (sel : B.select_body) : C.batch =
     }
   end
 
+(* A select box run up to its output projection. *)
+type filtered = { f_rows : lbatch; f_outs : (string * B.qref E.t) list }
+
+let exec_select_filtered ~child (sel : B.select_body) : filtered =
+  if sel.B.sel_distinct then invalid_arg "Vexec.exec_select_filtered: DISTINCT";
+  { f_rows = select_rows ~child sel; f_outs = sel.B.sel_outs }
+
+let filtered_rows f = f.f_rows.ln
+let materialize f = project f.f_rows f.f_outs
+
 (* ------------------------------------------------------------------ *)
 (* Group box: dense group ids + typed aggregate folds                  *)
 (* ------------------------------------------------------------------ *)
 
-(* Pass 1 result: per-row dense group id (first-seen order), the boxed key
-   per group (for output), and the group count. *)
-let group_ids (cb : C.batch) (key_idx : int list) : C.ints * V.t list array * int =
-  let n = cb.C.nrows in
+type input = Batch of C.batch | Filtered of filtered
+
+(* A group input column over the group's [n] rows: row [j] is physical row
+   [phys gix j] of [gc]. *)
+type gcol = { gc : C.t; gix : C.ints option }
+
+(* A key whose observed max - min is below this gets directly indexed
+   group ids; a wider range hashes. *)
+let dense_span n = max 1024 (2 * n)
+
+(* Per-row dense group id (first-seen order), the boxed key per group (for
+   output), and the group count. *)
+let group_ids n (key : gcol list) : C.ints * V.t list array * int =
   let gids = C.scratch_ints n in
   let keys = ref [] and ngroups = ref 0 in
-  (match key_idx with
-  | [ ki ] -> (
-      let c = cb.C.cols.(ki) in
-      match c.C.data with
-      | C.Ints a | C.Dates a ->
-          let mk =
-            match c.C.data with C.Dates _ -> fun x -> V.Date x | _ -> fun x -> V.Int x
-          in
-          let ht = Hashtbl.create 256 in
-          let null_gid = ref (-1) in
-          for i = 0 to n - 1 do
-            if C.is_null c i then begin
-              if !null_gid < 0 then begin
-                null_gid := !ngroups;
-                keys := [ V.Null ] :: !keys;
-                incr ngroups
-              end;
-              BA1.unsafe_set gids i !null_gid
-            end
+  let fresh k =
+    keys := k :: !keys;
+    incr ngroups;
+    !ngroups - 1
+  in
+  (match key with
+  | [] ->
+      (* the grand total: one group, if any row *)
+      if n > 0 then BA1.fill gids (fresh [])
+  | [ { gc = { C.data = (C.Ints a | C.Dates a) as data; nulls }; gix } ] ->
+      let mk = match data with C.Dates _ -> fun x -> V.Date x | _ -> fun x -> V.Int x in
+      let null_gid = ref (-1) in
+      let gid_null () =
+        if !null_gid < 0 then null_gid := fresh [ V.Null ];
+        !null_gid
+      in
+      let lo = ref max_int and hi = ref min_int in
+      for j = 0 to n - 1 do
+        let i = phys gix j in
+        if not (null_in nulls i) then begin
+          let x = BA1.unsafe_get a i in
+          if x < !lo then lo := x;
+          if x > !hi then hi := x
+        end
+      done;
+      let lo = !lo and span = !hi - !lo in
+      if span >= 0 && span < dense_span n then begin
+        (* a small observed range: index group ids by key - lo *)
+        let slot = Array.make (span + 1) (-1) in
+        for j = 0 to n - 1 do
+          let i = phys gix j in
+          let g =
+            if null_in nulls i then gid_null ()
             else
-              let k = BA1.unsafe_get a i in
-              match Hashtbl.find_opt ht k with
-              | Some g -> BA1.unsafe_set gids i g
-              | None ->
-                  Hashtbl.add ht k !ngroups;
-                  BA1.unsafe_set gids i !ngroups;
-                  keys := [ mk k ] :: !keys;
-                  incr ngroups
-          done
-      | C.Dict (codes, dict) ->
-          (* dictionary codes are already dense group candidates *)
-          let by_code = Array.make (Array.length dict + 1) (-1) in
-          let nullslot = Array.length dict in
-          for i = 0 to n - 1 do
-            let slot = if C.is_null c i then nullslot else BA1.unsafe_get codes i in
-            if by_code.(slot) < 0 then begin
-              by_code.(slot) <- !ngroups;
-              keys :=
-                (if slot = nullslot then [ V.Null ] else [ V.Str dict.(slot) ]) :: !keys;
-              incr ngroups
-            end;
-            BA1.unsafe_set gids i by_code.(slot)
-          done
-      | _ ->
-          let ht = VH.create 256 in
-          for i = 0 to n - 1 do
-            let k = [ C.get c i ] in
-            match VH.find_opt ht k with
-            | Some g -> BA1.unsafe_set gids i g
-            | None ->
-                VH.add ht k !ngroups;
-                BA1.unsafe_set gids i !ngroups;
-                keys := k :: !keys;
-                incr ngroups
-          done)
+              let x = BA1.unsafe_get a i in
+              let g = Array.unsafe_get slot (x - lo) in
+              if g >= 0 then g
+              else begin
+                let g = fresh [ mk x ] in
+                Array.unsafe_set slot (x - lo) g;
+                g
+              end
+          in
+          BA1.unsafe_set gids j g
+        done
+      end
+      else begin
+        let t = itab_create 256 in
+        for j = 0 to n - 1 do
+          let i = phys gix j in
+          let g =
+            if null_in nulls i then gid_null ()
+            else
+              let x = BA1.unsafe_get a i in
+              let g = itab_find t x in
+              if g >= 0 then g
+              else begin
+                let g = fresh [ mk x ] in
+                itab_replace t x g;
+                g
+              end
+          in
+          BA1.unsafe_set gids j g
+        done
+      end
+  | [ { gc = { C.data = C.Dict (codes, dict); nulls }; gix } ] ->
+      (* dictionary codes are already dense group candidates *)
+      let by_code = Array.make (Array.length dict + 1) (-1) in
+      let nullslot = Array.length dict in
+      for j = 0 to n - 1 do
+        let i = phys gix j in
+        let slot = if null_in nulls i then nullslot else BA1.unsafe_get codes i in
+        if by_code.(slot) < 0 then
+          by_code.(slot) <-
+            fresh (if slot = nullslot then [ V.Null ] else [ V.Str dict.(slot) ]);
+        BA1.unsafe_set gids j by_code.(slot)
+      done
   | _ ->
-      let cols = List.map (fun i -> cb.C.cols.(i)) key_idx in
       let ht = VH.create 256 in
-      for i = 0 to n - 1 do
-        let k = List.map (fun c -> C.get c i) cols in
+      for j = 0 to n - 1 do
+        let k = List.map (fun { gc; gix } -> C.get gc (phys gix j)) key in
         match VH.find_opt ht k with
-        | Some g -> BA1.unsafe_set gids i g
+        | Some g -> BA1.unsafe_set gids j g
         | None ->
-            VH.add ht k !ngroups;
-            BA1.unsafe_set gids i !ngroups;
-            keys := k :: !keys;
-            incr ngroups
+            let g = fresh k in
+            VH.add ht k g;
+            BA1.unsafe_set gids j g
       done);
   (gids, Array.of_list (List.rev !keys), !ngroups)
 
-(* Fold one aggregate over the batch in a typed loop; yields per-gid V.t. *)
-let fold_agg (cb : C.batch) (gids : C.ints) ngroups (agg : E.agg)
-    (arg_i : int option) counts : int -> V.t =
-  let n = cb.C.nrows in
+(* Fold one aggregate over the group's [n] rows in a typed loop, in input
+   order; yields per-gid V.t. *)
+let fold_agg n (gids : C.ints) ngroups (agg : E.agg) (arg : gcol option) counts :
+    int -> V.t =
   match agg.E.fn with
   | E.Count_star -> fun g -> V.Int counts.(g)
   | _ -> (
-      match arg_i with
+      match arg with
       | None ->
           (* COUNT/SUM/... over no argument: every input is NULL *)
           fun _ ->
             (match agg.E.fn with E.Count -> V.Int 0 | _ -> V.Null)
-      | Some ci -> (
-          let c = cb.C.cols.(ci) in
-          let nonnull = Array.make ngroups 0 in
-          let tally i g = if not (C.is_null c i) then nonnull.(g) <- nonnull.(g) + 1 in
-          for i = 0 to n - 1 do
-            tally i (BA1.unsafe_get gids i)
-          done;
+      | Some { gc = c; gix } -> (
+          let nulls = c.C.nulls in
+          let nonnull =
+            match nulls with
+            | None -> counts
+            | Some _ ->
+                let nn = Array.make ngroups 0 in
+                for j = 0 to n - 1 do
+                  if not (null_in nulls (phys gix j)) then begin
+                    let g = BA1.unsafe_get gids j in
+                    nn.(g) <- nn.(g) + 1
+                  end
+                done;
+                nn
+          in
           match agg.E.fn with
           | E.Count_star -> assert false
           | E.Count -> fun g -> V.Int nonnull.(g)
@@ -1133,18 +1369,20 @@ let fold_agg (cb : C.batch) (gids : C.ints) ngroups (agg : E.agg)
               match c.C.data with
               | C.Ints a ->
                   let sums = Array.make ngroups 0 in
-                  for i = 0 to n - 1 do
-                    if not (C.is_null c i) then begin
-                      let g = BA1.unsafe_get gids i in
+                  for j = 0 to n - 1 do
+                    let i = phys gix j in
+                    if not (null_in nulls i) then begin
+                      let g = BA1.unsafe_get gids j in
                       sums.(g) <- sums.(g) + BA1.unsafe_get a i
                     end
                   done;
                   fun g -> finish_sum g sums.(g) 0.0 true
               | C.Floats a ->
                   let sums = Array.make ngroups 0.0 in
-                  for i = 0 to n - 1 do
-                    if not (C.is_null c i) then begin
-                      let g = BA1.unsafe_get gids i in
+                  for j = 0 to n - 1 do
+                    let i = phys gix j in
+                    if not (null_in nulls i) then begin
+                      let g = BA1.unsafe_get gids j in
                       sums.(g) <- sums.(g) +. BA1.unsafe_get a i
                     end
                   done;
@@ -1152,9 +1390,10 @@ let fold_agg (cb : C.batch) (gids : C.ints) ngroups (agg : E.agg)
               | _ ->
                   (* boxed fallback: same V.add fold as the row engine *)
                   let sums = Array.make ngroups V.Null in
-                  for i = 0 to n - 1 do
-                    if not (C.is_null c i) then begin
-                      let g = BA1.unsafe_get gids i in
+                  for j = 0 to n - 1 do
+                    let i = phys gix j in
+                    if not (null_in nulls i) then begin
+                      let g = BA1.unsafe_get gids j in
                       let v = C.get c i in
                       sums.(g) <- (if V.is_null sums.(g) then v else V.add sums.(g) v)
                     end
@@ -1171,9 +1410,10 @@ let fold_agg (cb : C.batch) (gids : C.ints) ngroups (agg : E.agg)
               | C.Ints a | C.Dates a ->
                   let best = Array.make ngroups 0 in
                   let seen = Array.make ngroups false in
-                  for i = 0 to n - 1 do
-                    if not (C.is_null c i) then begin
-                      let g = BA1.unsafe_get gids i in
+                  for j = 0 to n - 1 do
+                    let i = phys gix j in
+                    if not (null_in nulls i) then begin
+                      let g = BA1.unsafe_get gids j in
                       let x = BA1.unsafe_get a i in
                       if (not seen.(g)) || better (compare x best.(g)) then begin
                         best.(g) <- x;
@@ -1190,9 +1430,10 @@ let fold_agg (cb : C.batch) (gids : C.ints) ngroups (agg : E.agg)
               | C.Floats a ->
                   let best = Array.make ngroups 0.0 in
                   let seen = Array.make ngroups false in
-                  for i = 0 to n - 1 do
-                    if not (C.is_null c i) then begin
-                      let g = BA1.unsafe_get gids i in
+                  for j = 0 to n - 1 do
+                    let i = phys gix j in
+                    if not (null_in nulls i) then begin
+                      let g = BA1.unsafe_get gids j in
                       let x = BA1.unsafe_get a i in
                       if (not seen.(g)) || better (Float.compare x best.(g)) then begin
                         best.(g) <- x;
@@ -1204,9 +1445,10 @@ let fold_agg (cb : C.batch) (gids : C.ints) ngroups (agg : E.agg)
               | C.Dict (codes, dict) ->
                   let best = Array.make ngroups "" in
                   let seen = Array.make ngroups false in
-                  for i = 0 to n - 1 do
-                    if not (C.is_null c i) then begin
-                      let g = BA1.unsafe_get gids i in
+                  for j = 0 to n - 1 do
+                    let i = phys gix j in
+                    if not (null_in nulls i) then begin
+                      let g = BA1.unsafe_get gids j in
                       let s = dict.(BA1.unsafe_get codes i) in
                       if (not seen.(g)) || better (String.compare s best.(g)) then begin
                         best.(g) <- s;
@@ -1217,9 +1459,10 @@ let fold_agg (cb : C.batch) (gids : C.ints) ngroups (agg : E.agg)
                   fun g -> if seen.(g) then V.Str best.(g) else V.Null
               | _ ->
                   let best = Array.make ngroups V.Null in
-                  for i = 0 to n - 1 do
-                    if not (C.is_null c i) then begin
-                      let g = BA1.unsafe_get gids i in
+                  for j = 0 to n - 1 do
+                    let i = phys gix j in
+                    if not (null_in nulls i) then begin
+                      let g = BA1.unsafe_get gids j in
                       let v = C.get c i in
                       if V.is_null best.(g) || better (V.compare v best.(g)) then
                         best.(g) <- v
@@ -1227,26 +1470,49 @@ let fold_agg (cb : C.batch) (gids : C.ints) ngroups (agg : E.agg)
                   done;
                   fun g -> best.(g))))
 
-let exec_group ~(child : B.quant -> C.batch) (grp : B.group_body) : C.batch =
-  let cb = child grp.B.grp_quant in
-  let idx name = batch_col_index cb name in
+let exec_group ~(child : B.quant -> input) (grp : B.group_body) : C.batch =
+  (* the input's columns by name; a filtered select's outputs are all
+     evaluated here, in order and on its live rows only, exactly where its
+     projection would have evaluated them *)
+  let n, named =
+    match child grp.B.grp_quant with
+    | Batch cb ->
+        ( cb.C.nrows,
+          List.combine (Array.to_list cb.C.names)
+            (Array.to_list (Array.map (fun c -> { gc = c; gix = None }) cb.C.cols)) )
+    | Filtered { f_rows; f_outs } ->
+        let n = f_rows.ln in
+        ( n,
+          List.map
+            (fun (nm, e) ->
+              ( nm,
+                match eval f_rows e with
+                | Vec c -> { gc = c; gix = None }
+                | Sel (c, ix) -> { gc = c; gix = Some ix }
+                | Scal s -> { gc = C.const s n; gix = None } ))
+            f_outs )
+  in
+  let col name =
+    let name = String.lowercase_ascii name in
+    match List.find_opt (fun (nm, _) -> String.lowercase_ascii nm = name) named with
+    | Some (_, c) -> c
+    | None -> raise Not_found
+  in
   let union_cols = B.grouping_union grp.B.grp_grouping in
   let out_names = union_cols @ List.map fst grp.B.grp_aggs in
   let agg_specs =
-    List.map (fun (_, { B.agg; arg }) -> (agg, Option.map idx arg)) grp.B.grp_aggs
+    List.map (fun (_, { B.agg; arg }) -> (agg, Option.map col arg)) grp.B.grp_aggs
   in
-  Obs.Metrics.add x_batch_rows cb.C.nrows;
+  Obs.Metrics.add x_batch_rows n;
   let cuboid set : V.t array list (* per output column, per-gid values *) * int =
     let set_l = List.map String.lowercase_ascii set in
-    let key_idx = List.map idx set in
-    let gids, keys, ngroups = group_ids cb key_idx in
+    let gids, keys, ngroups = group_ids n (List.map col set) in
     let keys, ngroups =
       if ngroups = 0 && set = [] then ([| [] |], 1) else (keys, ngroups)
     in
     let counts = Array.make ngroups 0 in
-    let n = cb.C.nrows in
-    for i = 0 to n - 1 do
-      let g = BA1.unsafe_get gids i in
+    for j = 0 to n - 1 do
+      let g = BA1.unsafe_get gids j in
       counts.(g) <- counts.(g) + 1
     done;
     let union_vals =
@@ -1261,9 +1527,7 @@ let exec_group ~(child : B.quant -> C.batch) (grp : B.group_body) : C.batch =
     in
     let agg_vals =
       List.map
-        (fun (agg, arg_i) ->
-          let at = fold_agg cb gids ngroups agg arg_i counts in
-          Array.init ngroups at)
+        (fun (agg, arg) -> Array.init ngroups (fold_agg n gids ngroups agg arg counts))
         agg_specs
     in
     (union_vals @ agg_vals, ngroups)

@@ -8,6 +8,10 @@
 
 exception Error of string
 
+(** Hash table keyed by value lists, honoring SQL grouping equality (NULL
+    groups with NULL; Int and Float compare numerically). *)
+module VH : Hashtbl.S with type key = Data.Value.t list
+
 (** Can this box body run on the vectorized path? *)
 val box_supported : Qgm.Box.body -> bool
 
@@ -23,8 +27,29 @@ val exec_base : Db.t -> Qgm.Box.base_body -> Column.batch
 val exec_select :
   child:(Qgm.Box.quant -> Column.batch) -> Qgm.Box.select_body -> Column.batch
 
+(** A select box run up to, but not including, its output projection: the
+    rows its predicates keep, as a selection over its working set, and its
+    output expressions. *)
+type filtered
+
+(** [exec_select_filtered ~child body] — {!exec_select} without the
+    projection, for a consumer that evaluates the outputs itself.
+    [body] must not be DISTINCT. *)
+val exec_select_filtered :
+  child:(Qgm.Box.quant -> Column.batch) -> Qgm.Box.select_body -> filtered
+
+(** Rows the select keeps. *)
+val filtered_rows : filtered -> int
+
+(** The select's result, as {!exec_select} would have returned it. *)
+val materialize : filtered -> Column.batch
+
+(** A group box's input: a batch, or a select handed over unprojected. *)
+type input = Batch of Column.batch | Filtered of filtered
+
 (** [exec_group ~child body] — dense group ids in first-seen order, then
     typed per-aggregate folds; grouping-set cuboids are concatenated in
-    declaration order with NULL-padded union columns. *)
-val exec_group :
-  child:(Qgm.Box.quant -> Column.batch) -> Qgm.Box.group_body -> Column.batch
+    declaration order with NULL-padded union columns. A [Filtered] input's
+    output expressions are evaluated through its selection, on its live
+    rows only. *)
+val exec_group : child:(Qgm.Box.quant -> input) -> Qgm.Box.group_body -> Column.batch

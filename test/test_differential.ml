@@ -6,6 +6,7 @@
    bounded so tier-1 stays fast. *)
 
 module R = Data.Relation
+module V = Data.Value
 open Helpers
 
 let db = lazy (tiny_db ())
@@ -145,8 +146,165 @@ let test_fixed () =
         [ Engine.Exec.Vector; Engine.Exec.Row ])
     fixed_cases
 
+(* -------- typed kernels: comparisons and integer group keys -------- *)
+
+(* One table whose columns cover each physical column type the typed
+   kernels handle, with and without NULL masks: NaN and signed zeros among
+   the floats, negative and NULL group keys, a key column whose range is too
+   wide for direct indexing, and a divisor column with zeros. [one] has a
+   single row, so joining it changes no answer, only the plan's shape. *)
+let typed_db =
+  lazy
+    (let open Catalog in
+     let col name ty nullable = { col_name = name; col_ty = ty; nullable } in
+     let table name cols =
+       {
+         tbl_name = name;
+         tbl_cols = cols;
+         primary_key = [];
+         unique_keys = [];
+         foreign_keys = [];
+       }
+     in
+     let cat =
+       add_table
+         (add_table empty
+            (table "kt"
+               [
+                 col "k" V.Tint false; col "i" V.Tint true; col "i2" V.Tint false;
+                 col "f" V.Tfloat true; col "f2" V.Tfloat false;
+                 col "d" V.Tdate false; col "dn" V.Tdate true;
+                 col "s" V.Tstr true; col "s2" V.Tstr false;
+                 col "g" V.Tint true; col "w" V.Tint false;
+                 col "z" V.Tint true; col "v" V.Tint true;
+               ]))
+         (table "one" [ col "x" V.Tint false ])
+     in
+     let wide = 4_000_000_000_000_000 in
+     let row k i i2 f f2 dd dn s s2 g w z v =
+       [| V.Int k; i; V.Int i2; f; V.Float f2; dd; dn; s; V.Str s2; g; V.Int w; z; v |]
+     in
+     let kt =
+       R.create
+         [ "k"; "i"; "i2"; "f"; "f2"; "d"; "dn"; "s"; "s2"; "g"; "w"; "z"; "v" ]
+         [
+           row 1 (i 5) 5 (f 1.5) 1.5 (d 1995 1 1) V.Null (s "a") "a" (i (-3)) (-wide)
+             (i 0) (i 10);
+           row 2 V.Null (-2) (f Float.nan) Float.nan (d 1996 6 15) (d 1996 6 15) V.Null
+             "b" (i (-3)) 0 (i 2) (i 20);
+           row 3 (i (-7)) 0 V.Null (-0.0) (d 1994 12 31) (d 1994 1 1) (s "c") "c"
+             V.Null wide V.Null (i 5);
+           row 4 (i 0) 9 (f (-2.0)) 0.0 (d 1995 1 1) V.Null (s "a") "a" (i 7) max_int
+             (i (-1)) V.Null;
+           row 5 (i 12) 12 (f 0.0) 2.5 (d 1997 3 3) (d 1997 3 3) (s "b") "d" (i 0)
+             (-1) (i 3) (i 7);
+           row 6 (i 5) 3 (f 2.5) Float.nan (d 1996 6 15) V.Null V.Null "b" V.Null wide
+             (i 0) (i (-7));
+           row 7 (i 3) 7 (f (-0.0)) (-3.5) (d 1993 5 5) (d 1993 5 5) (s "d") "e"
+             (i (-3)) min_int (i 5) (i 8);
+         ]
+     in
+     Engine.Db.of_tables cat [ ("kt", kt); ("one", R.create [ "x" ] [ [| i 1 |] ]) ])
+
+(* Every engine agrees with the reference on [sql]; returns the answer. *)
+let engines_agree db sql =
+  let g = build (Engine.Db.catalog db) sql in
+  let slow = Engine.Reference.run db g in
+  List.iter
+    (fun e ->
+      let got =
+        try Engine.Exec.with_engine e (fun () -> Engine.Exec.run db g)
+        with ex ->
+          Alcotest.failf "%s [%s] raised %s" sql (Engine.Exec.engine_to_string e)
+            (Printexc.to_string ex)
+      in
+      if not (R.bag_equal_approx got slow) then
+        Alcotest.failf "%s [%s]\ngot:\n%s\nreference:\n%s" sql
+          (Engine.Exec.engine_to_string e) (R.to_string got) (R.to_string slow))
+    [ Engine.Exec.Vector; Engine.Exec.Row ];
+  slow
+
+let test_typed_comparisons () =
+  let db = Lazy.force typed_db in
+  let ints = [ "5"; "-3"; "2.5" ] and floats = [ "1.5"; "0"; "-0.0"; "(0.0 / 0.0)" ] in
+  let dates = [ "DATE '1995-01-01'" ] and strs = [ "'b'"; "'bb'" ] in
+  let cases =
+    [ ("i", ints); ("i2", ints); ("f", floats); ("f2", floats); ("d", dates);
+      ("dn", dates); ("s", strs); ("s2", strs) ]
+  in
+  List.iter
+    (fun (c, consts) ->
+      List.iter
+        (fun k ->
+          List.iter
+            (fun op ->
+              List.iter
+                (fun p ->
+                  List.iter
+                    (fun where ->
+                      ignore (engines_agree db ("SELECT k FROM kt WHERE " ^ where)))
+                    [ p; "k > 1 AND " ^ p; p ^ " OR k = 1"; "NOT (" ^ p ^ ")" ])
+                [ Printf.sprintf "%s %s %s" c op k; Printf.sprintf "%s %s %s" k op c ])
+            [ "="; "<>"; "<"; "<="; ">"; ">=" ])
+        consts)
+    cases
+
+let test_typed_grouping () =
+  let db = Lazy.force typed_db in
+  List.iter
+    (fun key ->
+      List.iter
+        (fun where ->
+          ignore
+            (engines_agree db
+               (Printf.sprintf
+                  "SELECT %s, COUNT(*) AS c, COUNT(v) AS cv, SUM(v) AS sv, MIN(v) AS \
+                   mn, MAX(v) AS mx, AVG(v) AS av FROM kt%s GROUP BY %s"
+                  key where key)))
+        [ ""; " WHERE i2 > 0"; " WHERE k > 1 AND s2 <> 'c'" ])
+    [ "g"; "w"; "d"; "dn"; "s"; "i" ];
+  ignore
+    (engines_agree db
+       "SELECT g, year(d) AS y, SUM(v) AS sv FROM kt WHERE f2 < 2 GROUP BY \
+        GROUPING SETS ((g, year(d)), (g), ())")
+
+(* The filter drops every row whose divisor is zero (or NULL); the
+   aggregate's argument divides by it, so evaluating it on a dropped row
+   would raise. *)
+let test_filtered_division () =
+  let db = Lazy.force typed_db in
+  List.iter
+    (fun sql -> ignore (engines_agree db sql))
+    [
+      "SELECT g, SUM(v / z) AS q, SUM(v % z) AS r FROM kt WHERE z <> 0 GROUP BY g";
+      "SELECT g, SUM(v / z) AS q FROM kt, one WHERE z <> 0 GROUP BY g";
+      "SELECT SUM(i2 / z) AS q FROM kt WHERE k > 1 AND z > 0";
+    ]
+
+(* The same aggregate with the select handed to its group (one quantifier,
+   one consumer) and materialized (a second, single-row quantifier). *)
+let test_fused_matches_unfused () =
+  let db = Lazy.force typed_db in
+  List.iter
+    (fun (fused, unfused) ->
+      let a = engines_agree db fused and b = engines_agree db unfused in
+      Alcotest.(check bool) fused true (R.bag_equal_approx a b))
+    [
+      ( "SELECT g, SUM(v) AS s, COUNT(*) AS c FROM kt WHERE i2 > 0 GROUP BY g",
+        "SELECT g, SUM(v) AS s, COUNT(*) AS c FROM kt, one WHERE i2 > 0 GROUP BY g" );
+      ( "SELECT year(d) AS y, SUM(i2 * f) AS s FROM kt WHERE f > 0.5 GROUP BY year(d)",
+        "SELECT year(d) AS y, SUM(i2 * f) AS s FROM kt, one WHERE f > 0.5 GROUP BY \
+         year(d)" );
+      ( "SELECT s, MIN(w) AS m FROM kt WHERE s2 >= 'b' AND i2 <> 12 GROUP BY s",
+        "SELECT s, MIN(w) AS m FROM kt, one WHERE s2 >= 'b' AND i2 <> 12 GROUP BY s" );
+    ]
+
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_engines_agree;
     Alcotest.test_case "fixed shapes" `Quick test_fixed;
+    Alcotest.test_case "typed comparisons" `Quick test_typed_comparisons;
+    Alcotest.test_case "typed grouping" `Quick test_typed_grouping;
+    Alcotest.test_case "filtered division" `Quick test_filtered_division;
+    Alcotest.test_case "fused matches unfused" `Quick test_fused_matches_unfused;
   ]

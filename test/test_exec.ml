@@ -266,6 +266,42 @@ let test_nan_aggregates () =
     (R.rows vec);
   Alcotest.(check int) "both groups present" 2 !checked
 
+(* The per-box histograms record self time, so the boxes of a run add up
+   to its exec.run_ms; what is left is the bracket around the root box. *)
+let test_box_self_times_add_up () =
+  let cat = tiny_catalog () in
+  let n = 20_000 in
+  let dims =
+    R.create [ "id"; "label"; "region" ]
+      (List.init 50 (fun j -> [| i j; s (string_of_int j); s "r" |]))
+  in
+  let fact =
+    R.create [ "k"; "dim"; "grp"; "v" ]
+      (List.init n (fun j ->
+           [| i j; i (j mod 50); s (string_of_int (j mod 7)); i (j mod 13) |]))
+  in
+  let db = Engine.Db.of_tables cat [ ("dims", dims); ("fact", fact) ] in
+  let g =
+    build cat
+      "select region, grp, sum(v) as s from (select grp, v, dim from fact \
+       where v > 3) as t, dims where dim = id group by region, grp"
+  in
+  let hist = Obs.Metrics.histogram in
+  let sums () =
+    let total = List.fold_left (fun acc h -> acc +. Obs.Metrics.hist_sum (hist h)) 0. in
+    ( total [ "exec.base_ms"; "exec.select_ms"; "exec.group_ms"; "exec.union_ms" ],
+      total [ "exec.run_ms" ] )
+  in
+  ignore (Engine.Exec.run db g);
+  let boxes0, run0 = sums () in
+  for _ = 1 to 5 do
+    ignore (Engine.Exec.run db g)
+  done;
+  let boxes1, run1 = sums () in
+  let boxes = boxes1 -. boxes0 and run = run1 -. run0 in
+  if not (boxes <= run && boxes >= 0.8 *. run) then
+    Alcotest.failf "box self times sum to %.3f ms, exec.run_ms to %.3f ms" boxes run
+
 let suite =
   [
     Alcotest.test_case "3vl filtering" `Quick test_filter_3vl;
@@ -287,4 +323,5 @@ let suite =
     Alcotest.test_case "missing contents" `Quick test_scan_error;
     Alcotest.test_case "NaN aggregates across engines" `Quick
       test_nan_aggregates;
+    Alcotest.test_case "box self times add up" `Quick test_box_self_times_add_up;
   ]

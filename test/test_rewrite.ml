@@ -177,6 +177,23 @@ let test_exact_replacement_shape () =
          in
          has 0)
 
+(* A count re-derived from a summary as SUM(cnt) must still read 0 for a
+   scalar aggregate over an empty selection, not NULL. *)
+let test_derived_count_over_no_rows () =
+  let db = Helpers.tiny_db () in
+  List.iter
+    (fun query ->
+      let rewritten, equal =
+        Helpers.rewrite_check db ~query
+          ~ast:"SELECT v, COUNT(*) AS c FROM fact GROUP BY v"
+      in
+      Alcotest.(check bool) (query ^ " rewritten") true rewritten;
+      Alcotest.(check bool) (query ^ " equal") true equal)
+    [
+      "SELECT COUNT(*) AS n FROM fact WHERE v = 1993";
+      "SELECT COUNT(v) AS n FROM fact WHERE v = 1993";
+    ]
+
 let suite =
   [
     Alcotest.test_case "presentation preserved" `Quick
@@ -188,4 +205,6 @@ let suite =
     Alcotest.test_case "iterative multi-AST" `Quick test_multiple_asts_iterative;
     Alcotest.test_case "inner block rewrite" `Quick test_rewrites_inner_block_only;
     Alcotest.test_case "exact replacement" `Quick test_exact_replacement_shape;
+    Alcotest.test_case "derived count over no rows" `Quick
+      test_derived_count_over_no_rows;
   ]
