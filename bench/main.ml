@@ -220,10 +220,9 @@ let () =
         (Mvstore.Session.exec_sql sn
            (Printf.sprintf "CREATE SUMMARY TABLE %s AS %s" name sql)))
     Workload.Decision_support.summary_tables;
-  Printf.printf "%-24s %10s %10s %10s %10s %9s  %s\n" "query" "base(ms)"
-    "base-row" "plan(ms)" "exec(ms)" "speedup" "routed via";
+  Printf.printf "%-24s %10s %10s %10s %9s  %s\n" "query" "base(ms)" "plan(ms)"
+    "exec(ms)" "speedup" "routed via";
   let tot_base = ref 0.
-  and tot_base_row = ref 0.
   and tot_plan = ref 0.
   and tot_exec = ref 0. in
   let ws_db = Mvstore.Session.db sn in
@@ -234,12 +233,6 @@ let () =
     (fun (q : Workload.Decision_support.query) ->
       let g = build ws_cat q.dq_sql in
       let t_base = time_ms (fun () -> Engine.Exec.run ws_db g) in
-      (* the same base plan under the row interpreter: what the vectorized
-         executor buys on queries the rewriter does not touch *)
-      let t_base_row =
-        Engine.Exec.with_engine Engine.Exec.Row (fun () ->
-            time_ms (fun () -> Engine.Exec.run ws_db g))
-      in
       (* planning and execution measured separately: plan_ms is the live
          (warm-cache) routing cost, exec_ms the rewritten plan alone *)
       let plan () =
@@ -260,7 +253,6 @@ let () =
         | [] -> "(base tables)"
       in
       tot_base := !tot_base +. t_base;
-      tot_base_row := !tot_base_row +. t_base_row;
       tot_plan := !tot_plan +. t_plan;
       tot_exec := !tot_exec +. t_exec;
       workload_rows :=
@@ -270,31 +262,30 @@ let () =
               [
                 ("query", Json.Str q.dq_name);
                 ("base_ms", Json.Num t_base);
-                ("base_row_ms", Json.Num t_base_row);
                 ("plan_ms", Json.Num t_plan);
                 ("exec_ms", Json.Num t_exec);
                 ("rewritten_ms", Json.Num (t_plan +. t_exec));
                 ("routed_via", Json.Str routed);
               ];
           ];
-      Printf.printf "%-24s %10.1f %10.1f %10.3f %10.1f %8.1fx  %s\n" q.dq_name
-        t_base t_base_row t_plan t_exec
+      Printf.printf "%-24s %10.1f %10.3f %10.1f %8.1fx  %s\n" q.dq_name t_base
+        t_plan t_exec
         (t_base /. (t_plan +. t_exec))
         routed)
     Workload.Decision_support.queries;
-  Printf.printf "%-24s %10.1f %10.1f %10.3f %10.1f %8.1fx\n" "TOTAL" !tot_base
-    !tot_base_row !tot_plan !tot_exec
+  Printf.printf "%-24s %10.1f %10.3f %10.1f %8.1fx\n" "TOTAL" !tot_base
+    !tot_plan !tot_exec
     (!tot_base /. (!tot_plan +. !tot_exec));
   print_newline ();
 
-  (* ---------------- PERF10: vectorized vs row interpreter ------------ *)
-  (* The executor claim: batch-at-a-time execution over typed columns
-     beats the row-at-a-time interpreter on the base-table runs that
-     dominate end-to-end time. Bag equality across the two engines is
-     checked at every scale; the 10x floor is asserted only at bench
-     scale (ASTRW_SCALE >= 10), where batches are large enough to
-     amortize the columnar decode. *)
-  Printf.printf "=== PERF10: vectorized executor vs row interpreter ===\n";
+  (* ---------------- PERF10: vectorized executor on base plans -------- *)
+  (* The executor's cost on the base-table runs that dominate end-to-end
+     time: a join-heavy figure query and the one decision-support query no
+     summary table answers. discount_impact's answer is bag-checked against
+     the reference oracle; fig2_q1's cross product is beyond the oracle,
+     and the figure table above already checks its base plan against its
+     rewrite. *)
+  Printf.printf "=== PERF10: vectorized executor on base plans ===\n";
   let vec_cases =
     let fig2 =
       List.find
@@ -308,45 +299,33 @@ let () =
         Workload.Decision_support.queries
     in
     [
-      ("fig2_q1", fig2.p_db, fig2.p_query);
-      ("discount_impact", ws_db, build ws_cat di.dq_sql);
+      ("fig2_q1", fig2.p_db, fig2.p_query, false);
+      ("discount_impact", ws_db, build ws_cat di.dq_sql, true);
     ]
   in
-  Printf.printf "%-20s %12s %10s %9s %8s\n" "query" "vector(ms)" "row(ms)"
-    "speedup" "correct";
-  let floor_asserted = scale >= 10 in
+  Printf.printf "%-20s %12s %8s\n" "query" "vector(ms)" "correct";
   let vec_rows =
     List.map
-      (fun (name, db, g) ->
-        let under e = Engine.Exec.with_engine e (fun () -> Engine.Exec.run db g) in
+      (fun (name, db, g, oracle) ->
+        let run () =
+          Engine.Exec.with_engine Engine.Exec.Vector (fun () -> Engine.Exec.run db g)
+        in
         let correct =
-          R.bag_equal_approx (under Engine.Exec.Vector) (under Engine.Exec.Row)
+          if oracle then Some (R.bag_equal_approx (run ()) (Engine.Reference.run db g))
+          else None
         in
-        if not correct then incr fails;
-        let t_vec =
-          Engine.Exec.with_engine Engine.Exec.Vector (fun () ->
-              time_ms (fun () -> Engine.Exec.run db g))
-        in
-        let t_row =
-          Engine.Exec.with_engine Engine.Exec.Row (fun () ->
-              time_ms (fun () -> Engine.Exec.run db g))
-        in
-        let speedup = t_row /. t_vec in
-        if floor_asserted && speedup < 10. then begin
-          Printf.printf "PERF10 FAILURE: %s speedup %.1fx below the 10x floor\n"
-            name speedup;
-          incr fails
-        end;
-        Printf.printf "%-20s %12.2f %10.2f %8.1fx %8s\n" name t_vec t_row
-          speedup
-          (if correct then "yes" else "NO");
+        if correct = Some false then incr fails;
+        let t_vec = time_ms run in
+        Printf.printf "%-20s %12.2f %8s\n" name t_vec
+          (match correct with
+          | Some true -> "yes"
+          | Some false -> "NO"
+          | None -> "-");
         Json.Obj
           [
             ("query", Json.Str name);
             ("vector_ms", Json.Num t_vec);
-            ("row_ms", Json.Num t_row);
-            ("speedup", Json.Num speedup);
-            ("correct", Json.Bool correct);
+            ("correct", match correct with Some c -> Json.Bool c | None -> Json.Null);
           ])
       vec_cases
   in
@@ -355,8 +334,6 @@ let () =
       [
         ( "default_engine",
           Json.Str (Engine.Exec.engine_to_string Engine.Exec.default_engine) );
-        ("floor", Json.Num 10.);
-        ("floor_asserted", Json.Bool floor_asserted);
         ("rows", Json.List vec_rows);
       ]
   in
@@ -1211,7 +1188,6 @@ let () =
            Json.Obj
              [
                ("base_ms", Json.Num !tot_base);
-               ("base_row_ms", Json.Num !tot_base_row);
                ("plan_ms", Json.Num !tot_plan);
                ("exec_ms", Json.Num !tot_exec);
                ("rewritten_ms", Json.Num (!tot_plan +. !tot_exec));

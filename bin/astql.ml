@@ -521,7 +521,7 @@ let engine_conv =
   let parse s =
     match Engine.Exec.engine_of_string s with
     | Some e -> Ok e
-    | None -> Error (`Msg "expected vector, row, or reference")
+    | None -> Error (`Msg "expected vector or reference")
   in
   let print fmt e =
     Format.pp_print_string fmt (Engine.Exec.engine_to_string e)
@@ -531,10 +531,9 @@ let engine_conv =
 let engine_arg =
   let doc =
     "Executor engine: $(b,vector) (batch-at-a-time over typed column \
-     vectors; the default), $(b,row) (the tuple-at-a-time interpreter), or \
-     $(b,reference) (the naive differential-testing oracle — quadratic, \
-     testing only). All three produce bag-equal results. Defaults to \
-     $(b,ASTQL_EXEC) from the environment."
+     vectors; the default) or $(b,reference) (the naive differential-testing \
+     oracle — quadratic, testing only). Both produce bag-equal results. \
+     Defaults to $(b,ASTQL_EXEC) from the environment."
   in
   Arg.(value & opt (some engine_conv) None & info [ "exec" ] ~docv:"ENGINE" ~doc)
 

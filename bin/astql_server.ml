@@ -358,7 +358,7 @@ let engine_conv =
   let parse s =
     match Engine.Exec.engine_of_string s with
     | Some e -> Ok e
-    | None -> Error (`Msg "expected vector, row, or reference")
+    | None -> Error (`Msg "expected vector or reference")
   in
   let print fmt e =
     Format.pp_print_string fmt (Engine.Exec.engine_to_string e)
@@ -367,8 +367,8 @@ let engine_conv =
 
 let engine_arg =
   let doc =
-    "Executor engine: $(b,vector), $(b,row), or $(b,reference) (see astql \
-     --help). Defaults to $(b,ASTQL_EXEC) from the environment."
+    "Executor engine: $(b,vector) or $(b,reference) (see astql --help). \
+     Defaults to $(b,ASTQL_EXEC) from the environment."
   in
   Arg.(value & opt (some engine_conv) None & info [ "exec" ] ~docv:"ENGINE" ~doc)
 

@@ -196,7 +196,7 @@ let get c i =
 
 let no_nulls m = Bytes.for_all (fun c -> c = '\000') m
 
-let of_values (vals : V.t array) : t =
+let build ~promote (vals : V.t array) : t =
   let n = Array.length vals in
   let ints = ref 0 and floats = ref 0 and strs = ref 0 and bools = ref 0 in
   let dates = ref 0 and nulls = ref 0 in
@@ -228,7 +228,7 @@ let of_values (vals : V.t array) : t =
       done;
       Ints a
     end
-    else if !ints + !floats = nonnull then begin
+    else if !ints + !floats = nonnull && (promote || !ints = 0) then begin
       let a = fcreate n in
       for i = 0 to n - 1 do
         match vals.(i) with
@@ -294,6 +294,9 @@ let of_values (vals : V.t array) : t =
     end
   in
   { data; nulls = mask }
+
+let of_values vals = build ~promote:true vals
+let of_values_exact vals = build ~promote:false vals
 
 let to_values c =
   let n = length c in

@@ -56,7 +56,15 @@ val is_null : t -> int -> bool
 (** Boxed view of one slot (NULL-aware). *)
 val get : t -> int -> Data.Value.t
 
+(** Typed column of boxed values. A column mixing INT and FLOAT values
+    becomes [Floats], the INTs promoted. *)
 val of_values : Data.Value.t array -> t
+
+(** {!of_values} without the promotion: a column mixing INT and FLOAT
+    values stays [Boxed], so each value keeps its own type, as {!Eval}
+    computed it. *)
+val of_values_exact : Data.Value.t array -> t
+
 val to_values : t -> Data.Value.t array
 
 (** [const v n] broadcasts a scalar to an [n]-row column. *)

@@ -7,22 +7,20 @@
     columns, per the paper's section 5 semantics). The root's presentation
     (ORDER BY / LIMIT) is applied last.
 
-    Three interchangeable engines implement the operators — vectorized
-    columnar ({!Vexec}, the default), the original row-at-a-time
-    interpreter, and the naive {!Reference} oracle — selected per process
-    via [ASTQL_EXEC=vector|row|reference] or per call site via
-    {!with_engine}. All three share one memoized recursion, so budget
+    Two interchangeable engines implement the operators — vectorized
+    columnar ({!Vexec}, the default) and the naive {!Reference} oracle —
+    selected per process via [ASTQL_EXEC=vector|reference] or per call
+    site via {!with_engine}. Both share one memoized recursion, so budget
     enforcement, metrics, and per-box memoization behave identically;
     results agree bag-wise (enforced by the differential fuzz suite). *)
 
 exception Exec_error of string
 
 type engine =
-  | Vector  (** batch-at-a-time over typed columns; row fallback per box *)
-  | Row  (** original tuple-at-a-time interpreter *)
+  | Vector  (** batch-at-a-time over typed columns *)
   | Reference  (** naive oracle operators; testing only *)
 
-(** [engine_of_string "vector" | "row" | "reference"] (case-insensitive);
+(** [engine_of_string "vector" | "reference"] (case-insensitive);
     [None] for anything else. *)
 val engine_of_string : string -> engine option
 

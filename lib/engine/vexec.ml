@@ -4,9 +4,9 @@
    decodes a base table once (through Column's LRU cache), joins build hash
    tables on key columns and gather matching rows, and aggregation assigns
    dense group ids in one pass then folds each aggregate in a tight typed
-   loop. Everything that falls outside the kernels — DISTINCT aggregates,
-   CASE expressions, UNION — is left to the row interpreter: Exec dispatches
-   per box, so a single exotic operator degrades only itself, not the plan.
+   loop. Shapes without a typed kernel (CASE, odd type mixes) evaluate row
+   by row through Eval; DISTINCT aggregates fold over each group's first
+   occurrences; UNION concatenates its branches. Every box body runs here.
 
    Filtering never copies. A select box's working set is a set of
    full-width columns plus a selection vector (ascending physical row
@@ -19,20 +19,24 @@
    and output expressions, and the group evaluates its keys and aggregate
    arguments through the selection, so the select's result is never built.
 
-   Semantics notes (kept bit-compatible with the row engine, which the
-   3-engine differential fuzz in test/test_differential.ml enforces):
-   - AND/OR evaluate their right operand only on rows the row interpreter
-     would (left ≠ FALSE for AND, ≠ TRUE for OR), and output expressions
-     only on rows every predicate kept, so data-dependent errors (division
-     by zero) surface identically.
+   Semantics notes (kept bit-compatible with Eval and the Reference oracle,
+   which the differential fuzz in test/test_differential.ml enforces):
+   - AND/OR evaluate their right operand only on rows Eval would (left ≠
+     FALSE for AND, ≠ TRUE for OR), CASE arms only on rows that reach them,
+     and output expressions only on rows every predicate kept, so
+     data-dependent errors (division by zero) surface identically.
    - Float comparisons follow [Float.compare]: NaN sorts below every number.
    - Join and group hash keys honor SQL grouping equality: NULL groups
      with NULL, Int and Float compare numerically.
-   - Operator output row order matches the row engine exactly (left-major
-     joins, first-seen group order, per-group input-order folds), so ORDER
-     BY ties and float sums come out the same.
+   - Operator output row order is fixed (left-major joins, first-seen
+     group order, per-group input-order folds), so ORDER BY ties and float
+     sums come out the same as the Reference oracle's.
    - Boxed fallback kernels route through Eval's scalar kernels, so error
-     messages and 3VL corner cases cannot drift between engines. *)
+     messages and 3VL corner cases cannot drift between engines.
+   - Computed columns keep each value's own type: a result mixing INT and
+     FLOAT (a CASE, a function, a UNION of an INT and a FLOAT branch)
+     stays boxed rather than promoted, so a later INT/INT division or a
+     printed value matches Eval's. *)
 
 module V = Data.Value
 module R = Data.Relation
@@ -129,42 +133,12 @@ let rec itab_replace t k v =
   Array.unsafe_set t.tvals s v
 
 (* ------------------------------------------------------------------ *)
-(* Which expression shapes the kernels cover                           *)
-(* ------------------------------------------------------------------ *)
-
-(* CASE is the one value shape left to the row interpreter: its arms are
-   evaluated lazily per row, and replicating that masking for arbitrary
-   nesting buys little (CASE predicates are rare in this workload).
-   Aggregates never appear in scalar position. Everything else either has
-   a typed kernel or a boxed per-row fallback through Eval. *)
-let rec expr_ok = function
-  | E.Const _ | E.Col _ -> true
-  | E.Unop (("-" | "NOT"), e) -> expr_ok e
-  | E.Unop _ -> false
-  | E.Binop (_, a, b) -> expr_ok a && expr_ok b
-  | E.Fncall (_, es) -> List.for_all expr_ok es
-  | E.Is_null (e, _) -> expr_ok e
-  | E.Agg _ -> false
-  | E.Case _ -> false
-
-let box_supported (body : B.body) =
-  match body with
-  | B.Base _ -> true
-  | B.Select s ->
-      List.for_all expr_ok s.sel_preds
-      && List.for_all (fun (_, e) -> expr_ok e) s.sel_outs
-  | B.Group g ->
-      (* DISTINCT aggregates keep a per-group seen-set: row path *)
-      List.for_all (fun (_, a) -> not a.B.agg.E.distinct) g.grp_aggs
-  | B.Union _ -> false
-
-(* ------------------------------------------------------------------ *)
 (* Vectorized expression evaluation                                    *)
 (* ------------------------------------------------------------------ *)
 
-(* A select box's working set: columns addressed by (quantifier, column)
-   like the row engine's layout. [ln] rows are live: all of [lcols] when
-   [lix] is [None], else the physical rows [lix.{0 .. ln-1}] (ascending). *)
+(* A select box's working set: columns addressed by (quantifier, column).
+   [ln] rows are live: all of [lcols] when [lix] is [None], else the
+   physical rows [lix.{0 .. ln-1}] (ascending). *)
 type lbatch = {
   lay : (int * string) array;
   lcols : C.t array;
@@ -296,11 +270,11 @@ let float_ops = function
   | "/" -> Some ( /. )
   | _ -> None
 
-(* Per-row fallback through the scalar kernel: exact row-engine semantics
+(* Per-row fallback through the scalar kernel: exact Eval semantics
    (including error messages) at boxed speed, for odd type combinations. *)
 let boxed_binop op n a b =
   let va = Array.init n (fun i -> Eval.apply_binop op (vv_get a i) (vv_get b i)) in
-  Vec (C.of_values va)
+  Vec (C.of_values_exact va)
 
 (* A numeric operand as a typed buffer plus read selection, so the op loops
    below run closure-free (composing accessor closures would box floats at
@@ -655,7 +629,7 @@ let rec eval (ctx : lbatch) (e : B.qref E.t) : vv =
             BA1.unsafe_set out i (-.BA1.unsafe_get a i)
           done;
           Vec { c with C.data = C.Floats out }
-      | v -> Vec (C.of_values (Array.init n (fun i -> V.neg (vv_get v i)))))
+      | v -> Vec (C.of_values_exact (Array.init n (fun i -> V.neg (vv_get v i)))))
   | E.Unop ("NOT", e') ->
       let v = eval ctx e' in
       let at = tri_at "NOT" n v in
@@ -696,16 +670,21 @@ let rec eval (ctx : lbatch) (e : B.qref E.t) : vv =
             if vv_null v i = positive then Bytes.unsafe_set bits i '\001'
           done;
           Vec { C.data = C.Bools bits; nulls = None })
-  | E.Case _ -> err "CASE is not vectorized (row fallback expected)"
+  | E.Case _ ->
+      (* row by row through Eval, so an arm is evaluated only on the rows
+         that reach it; leaves are resolved once, not per row *)
+      let cols = List.map (fun r -> (r, lookup_col ctx r)) (E.cols e) in
+      let lookup j r = C.get (List.assoc r cols) (phys ctx.lix j) in
+      Vec (C.of_values_exact (Array.init n (fun j -> Eval.eval (lookup j) e)))
 
-(* AND/OR with the row engine's short-circuit: the right operand is only
-   evaluated on rows where the left side does not already decide. *)
+(* AND/OR with Eval's short-circuit: the right operand is only evaluated
+   on rows where the left side does not already decide. *)
 and and_or ctx ~op a b =
   let n = ctx.ln in
   let va = eval ctx a in
   let short = if op = "AND" then 0 else 1 in
   let ta = tri_at op n va in
-  (* rows the row engine would evaluate [b] on *)
+  (* rows Eval would evaluate [b] on *)
   let live = ibuf_create n in
   let tas = Bytes.make n '\000' in
   for i = 0 to n - 1 do
@@ -767,7 +746,7 @@ and eval_fn ctx f args =
       Scal (Eval.apply_fn f (List.map (fun v -> vv_get v 0) vs))
     else
       Vec
-        (C.of_values
+        (C.of_values_exact
            (Array.init n (fun i -> Eval.apply_fn f (List.map (fun v -> vv_get v i) vs))))
   in
   let col_ix = function
@@ -879,10 +858,11 @@ let rec pred_safe = function
   | E.Agg _ | E.Case _ -> false
 
 (* Single-int-key hash join: head table plus a next-index chain, built back
-   to front so each chain enumerates build rows in ascending order (the row
-   engine's match order). Pushes (probe, build) index pairs onto [li]/[ri].
-   Probe rows with [probe_null] are skipped; a [probe_key] with no build
-   entry (e.g. the -1 sentinel from dictionary translation) simply misses. *)
+   to front so each chain enumerates build rows in ascending order (a
+   nested loop's match order). Pushes (probe, build) index pairs onto
+   [li]/[ri]. Probe rows with [probe_null] are skipped; a [probe_key] with
+   no build entry (e.g. the -1 sentinel from dictionary translation) simply
+   misses. *)
 let chain_join (build : C.ints) (bnulls : Bytes.t option) n_build
     (probe_null : int -> bool) (probe_key : int -> int) n_probe li ri =
   let head = itab_create n_build in
@@ -1030,8 +1010,8 @@ let select_rows ~(child : B.quant -> C.batch) (sel : B.select_body) : lbatch =
               | _ -> true)
             !pending;
         (* push single-quant predicates below the join: filtering one input
-           keeps both the probe-major and per-chain orders, so results match
-           the row engine row for row *)
+           keeps both the probe-major and per-chain orders, so results come
+           out row for row as without the pushdown *)
         let pushed, rest =
           List.partition (fun (p, qs) -> qs = [ q.B.q_id ] && pred_safe p) !pending
         in
@@ -1089,7 +1069,7 @@ let select_rows ~(child : B.quant -> C.batch) (sel : B.select_body) : lbatch =
           let ri = ibuf_create (max 16 (max nl nr)) in
           (match key_pairs with
           | [] ->
-              (* cross product, left-major like the row engine *)
+              (* cross product, left-major *)
               for l = 0 to nl - 1 do
                 for r = 0 to nr - 1 do
                   ibuf_push li l;
@@ -1186,26 +1166,23 @@ let project ctx outs : C.batch =
     nrows = ctx.ln;
   }
 
+(* The first occurrence of each distinct row, in order. *)
+let dedup (b : C.batch) : C.batch =
+  let seen = VH.create 64 in
+  let keep = ibuf_create b.C.nrows in
+  for i = 0 to b.C.nrows - 1 do
+    let key = Array.to_list (Array.map (fun c -> C.get c i) b.C.cols) in
+    if not (VH.mem seen key) then begin
+      VH.add seen key ();
+      ibuf_push keep i
+    end
+  done;
+  let sel, k = ibuf_sel keep in
+  { b with C.cols = Array.map (fun c -> C.gather c sel k) b.C.cols; nrows = k }
+
 let exec_select ~child (sel : B.select_body) : C.batch =
   let result = project (select_rows ~child sel) sel.B.sel_outs in
-  if not sel.B.sel_distinct then result
-  else begin
-    let seen = VH.create 64 in
-    let keep = ibuf_create result.C.nrows in
-    for i = 0 to result.C.nrows - 1 do
-      let key = Array.to_list (Array.map (fun c -> C.get c i) result.C.cols) in
-      if not (VH.mem seen key) then begin
-        VH.add seen key ();
-        ibuf_push keep i
-      end
-    done;
-    let sel, k = ibuf_sel keep in
-    {
-      result with
-      C.cols = Array.map (fun c -> C.gather c sel k) result.C.cols;
-      nrows = k;
-    }
-  end
+  if sel.B.sel_distinct then dedup result else result
 
 (* A select box run up to its output projection. *)
 type filtered = { f_rows : lbatch; f_outs : (string * B.qref E.t) list }
@@ -1326,9 +1303,37 @@ let group_ids n (key : gcol list) : C.ints * V.t list array * int =
       done);
   (gids, Array.of_list (List.rev !keys), !ngroups)
 
+(* The rows a DISTINCT aggregate folds: the first non-NULL occurrence of
+   each (group id, value) pair, in input order, with their group ids and
+   per-group counts. *)
+let first_occurrences n (gids : C.ints) ngroups { gc; gix } =
+  let seen = VH.create 64 in
+  let keep = ibuf_create n in
+  for j = 0 to n - 1 do
+    let i = phys gix j in
+    if not (null_in gc.C.nulls i) then begin
+      let key = [ V.Int (BA1.unsafe_get gids j); C.get gc i ] in
+      if not (VH.mem seen key) then begin
+        VH.add seen key ();
+        ibuf_push keep j
+      end
+    end
+  done;
+  let sel, k = ibuf_sel keep in
+  let kgids = C.scratch_ints k and kix = C.scratch_ints k in
+  let counts = Array.make ngroups 0 in
+  for t = 0 to k - 1 do
+    let j = BA1.unsafe_get sel t in
+    let g = BA1.unsafe_get gids j in
+    BA1.unsafe_set kgids t g;
+    BA1.unsafe_set kix t (phys gix j);
+    counts.(g) <- counts.(g) + 1
+  done;
+  (k, kgids, { gc; gix = Some kix }, counts)
+
 (* Fold one aggregate over the group's [n] rows in a typed loop, in input
    order; yields per-gid V.t. *)
-let fold_agg n (gids : C.ints) ngroups (agg : E.agg) (arg : gcol option) counts :
+let rec fold_agg n (gids : C.ints) ngroups (agg : E.agg) (arg : gcol option) counts :
     int -> V.t =
   match agg.E.fn with
   | E.Count_star -> fun g -> V.Int counts.(g)
@@ -1338,6 +1343,9 @@ let fold_agg n (gids : C.ints) ngroups (agg : E.agg) (arg : gcol option) counts 
           (* COUNT/SUM/... over no argument: every input is NULL *)
           fun _ ->
             (match agg.E.fn with E.Count -> V.Int 0 | _ -> V.Null)
+      | Some a when agg.E.distinct ->
+          let n, gids, a, counts = first_occurrences n gids ngroups a in
+          fold_agg n gids ngroups { agg with E.distinct = false } (Some a) counts
       | Some { gc = c; gix } -> (
           let nulls = c.C.nulls in
           let nonnull =
@@ -1388,7 +1396,7 @@ let fold_agg n (gids : C.ints) ngroups (agg : E.agg) (arg : gcol option) counts 
                   done;
                   fun g -> finish_sum g 0 sums.(g) false
               | _ ->
-                  (* boxed fallback: same V.add fold as the row engine *)
+                  (* boxed fallback: the same V.add fold as Reference *)
                   let sums = Array.make ngroups V.Null in
                   for j = 0 to n - 1 do
                     let i = phys gix j in
@@ -1544,6 +1552,32 @@ let exec_group ~(child : B.quant -> input) (grp : B.group_body) : C.batch =
             Array.blit (List.nth cols ci) 0 vals !off k;
             off := !off + k)
           pieces;
-        C.of_values vals)
+        C.of_values_exact vals)
   in
   { C.names = Array.of_list out_names; cols = Array.of_list out_cols; nrows = total }
+
+(* ------------------------------------------------------------------ *)
+(* Union box                                                           *)
+(* ------------------------------------------------------------------ *)
+
+let exec_union ~(child : B.quant -> C.batch) (u : B.union_body) : C.batch =
+  let arity = List.length u.B.un_cols in
+  let branches =
+    List.map
+      (fun q ->
+        let b = child q in
+        if Array.length b.C.cols <> arity then err "UNION branch arity mismatch";
+        b)
+      u.B.un_quants
+  in
+  let result =
+    {
+      C.names = Array.of_list u.B.un_cols;
+      cols =
+        Array.init arity (fun ci ->
+            C.of_values_exact
+              (Array.concat (List.map (fun b -> C.to_values b.C.cols.(ci)) branches)));
+      nrows = List.fold_left (fun acc b -> acc + b.C.nrows) 0 branches;
+    }
+  in
+  if u.B.un_all then result else dedup result

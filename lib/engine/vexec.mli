@@ -1,28 +1,19 @@
 (** Vectorized (batch-at-a-time) QGM operators (DESIGN.md §15).
 
-    Each operator consumes and produces {!Column.batch} values. The
-    dispatcher in {!Exec} calls {!box_supported} per box and falls back to
-    the row interpreter for anything outside the vectorized subset
-    (DISTINCT aggregates, CASE expressions, UNION bodies), so engines mix
-    freely within one plan. *)
+    Each operator consumes and produces {!Column.batch} values; together
+    they run every QGM box body. Results agree with {!Eval} and the
+    {!Reference} oracle, errors included. *)
 
 exception Error of string
 
-(** Hash table keyed by value lists, honoring SQL grouping equality (NULL
-    groups with NULL; Int and Float compare numerically). *)
-module VH : Hashtbl.S with type key = Data.Value.t list
-
-(** Can this box body run on the vectorized path? *)
-val box_supported : Qgm.Box.body -> bool
-
 (** Scan a base table through the columnar decode cache, projected to the
-    box's columns. Raises [Not_found] on a missing column, like the row
-    engine's [Relation.project]. *)
+    box's columns. Raises [Not_found] on a missing column, like
+    [Relation.project]. *)
 val exec_base : Db.t -> Qgm.Box.base_body -> Column.batch
 
 (** [exec_select ~child body] — filters, incremental hash joins, output
     projection, DISTINCT. [child] resolves a quantifier to its input
-    batch. Output row order matches the row engine (left-major joins,
+    batch. Output row order is a nested loop's (left-major joins,
     build-side order within a probe match). *)
 val exec_select :
   child:(Qgm.Box.quant -> Column.batch) -> Qgm.Box.select_body -> Column.batch
@@ -48,8 +39,15 @@ val materialize : filtered -> Column.batch
 type input = Batch of Column.batch | Filtered of filtered
 
 (** [exec_group ~child body] — dense group ids in first-seen order, then
-    typed per-aggregate folds; grouping-set cuboids are concatenated in
-    declaration order with NULL-padded union columns. A [Filtered] input's
+    typed per-aggregate folds (a DISTINCT aggregate folds each group's
+    first occurrence of every non-NULL value); grouping-set cuboids are
+    concatenated in declaration order with NULL-padded union columns. A [Filtered] input's
     output expressions are evaluated through its selection, on its live
     rows only. *)
 val exec_group : child:(Qgm.Box.quant -> input) -> Qgm.Box.group_body -> Column.batch
+
+(** [exec_union ~child body] — the branches concatenated in order; without
+    ALL, the first occurrence of each distinct row. Raises {!Error} when a
+    branch's arity differs from the union's. *)
+val exec_union :
+  child:(Qgm.Box.quant -> Column.batch) -> Qgm.Box.union_body -> Column.batch

@@ -234,14 +234,12 @@ let test_nan_aggregates () =
      AVG(x) AS a FROM m GROUP BY g"
   in
   let vec = Engine.Exec.with_engine Engine.Exec.Vector (fun () -> run db sql) in
-  let row = Engine.Exec.with_engine Engine.Exec.Row (fun () -> run db sql) in
   let orc = Engine.Reference.run db (build cat sql) in
   (* bag_equal_approx can't see NaN = NaN (abs-diff on nan is false), so
      compare under the polymorphic total order instead *)
   let same what a b =
     Alcotest.(check bool) what true (compare (sorted_rows a) (sorted_rows b) = 0)
   in
-  same "vector = row over NaN" vec row;
   same "vector = reference over NaN" vec orc;
   let checked = ref 0 in
   List.iter
@@ -302,6 +300,26 @@ let test_box_self_times_add_up () =
   if not (boxes <= run && boxes >= 0.8 *. run) then
     Alcotest.failf "box self times sum to %.3f ms, exec.run_ms to %.3f ms" boxes run
 
+(* [of_values] promotes an INT/FLOAT mix to FLOAT; [of_values_exact] keeps
+   only the mix boxed, and still types a column of one kind. *)
+let test_column_exact () =
+  let module C = Engine.Column in
+  let kind vals =
+    match (C.of_values_exact vals).C.data with
+    | C.Ints _ -> "ints"
+    | C.Floats _ -> "floats"
+    | C.Boxed _ -> "boxed"
+    | _ -> "other"
+  in
+  Alcotest.(check string) "ints" "ints" (kind [| V.Int 1; V.Null; V.Int 2 |]);
+  Alcotest.(check string) "floats" "floats" (kind [| V.Float 0.5; V.Null |]);
+  Alcotest.(check string) "mix" "boxed" (kind [| V.Int 7; V.Null; V.Float 0.5 |]);
+  let c = C.of_values_exact [| V.Int 7; V.Null; V.Float 0.5 |] in
+  Alcotest.(check bool) "exact values" true
+    (C.to_values c = [| V.Int 7; V.Null; V.Float 0.5 |] && C.is_null c 1);
+  Alcotest.(check bool) "of_values promotes" true
+    (C.to_values (C.of_values [| V.Int 7; V.Float 0.5 |]) = [| V.Float 7.0; V.Float 0.5 |])
+
 let suite =
   [
     Alcotest.test_case "3vl filtering" `Quick test_filter_3vl;
@@ -324,4 +342,5 @@ let suite =
     Alcotest.test_case "NaN aggregates across engines" `Quick
       test_nan_aggregates;
     Alcotest.test_case "box self times add up" `Quick test_box_self_times_add_up;
+    Alcotest.test_case "exact column of mixed values" `Quick test_column_exact;
   ]
