@@ -19,6 +19,13 @@ val empty : string list -> t
     filter, sort, append, DML result — carries a fresh stamp. *)
 val id : t -> int
 
+(** Recent append ancestry, newest first: [id a] for each relation [a]
+    that {!append} extended, directly or through further appends, into
+    this one — so [a]'s rows are this relation's first [cardinality a]
+    rows. At most 16 entries; empty for any relation not built by
+    {!append}. *)
+val ancestry : t -> int list
+
 val columns : t -> string array
 val arity : t -> int
 val cardinality : t -> int

@@ -20,7 +20,9 @@
    keyed by the relation's unique stamp ([Relation.id]): relations are
    immutable, so a stamp fully identifies the payload, and DML produces a
    fresh relation (fresh stamp) whose old columns simply age out of the
-   LRU. The cache is mutex-protected — executor domains share it. *)
+   LRU; appends extend the cached decode of the relation they grew from
+   ([Relation.ancestry]), decoding only the new rows. The cache is
+   mutex-protected — executor domains share it. *)
 
 module V = Data.Value
 module R = Data.Relation
@@ -332,10 +334,13 @@ let decode_hits = Obs.Metrics.counter "exec.col_decode_hits"
 let decode_ms = Obs.Metrics.histogram "exec.col_decode_ms"
 let decoded_rows = Obs.Metrics.counter "exec.col_decoded_rows"
 
-let of_relation (r : R.t) : batch =
+let decoding nrows f =
   Obs.Metrics.incr decodes;
-  Obs.Metrics.add decoded_rows (R.cardinality r);
-  Obs.Metrics.time decode_ms @@ fun () ->
+  Obs.Metrics.add decoded_rows nrows;
+  Obs.Metrics.time decode_ms f
+
+let of_relation (r : R.t) : batch =
+  decoding (R.cardinality r) @@ fun () ->
   let rows = R.rows_array r in
   let names = R.columns r in
   let n = Array.length rows in
@@ -397,6 +402,106 @@ let gather (c : t) (idx : ints) (k : int) : t =
   { data; nulls }
 
 (* ------------------------------------------------------------------ *)
+(* Append extension                                                    *)
+(* ------------------------------------------------------------------ *)
+
+(* Can [vals] follow column [p] without [of_values] over the concatenation
+   choosing another kind? An all-NULL or mixed prefix ([Boxed]) never
+   qualifies: its kind depends on values still to come. *)
+let extendable (p : t) (vals : V.t array) =
+  let fits v =
+    match (p.data, v) with
+    | _, V.Null
+    | Ints _, V.Int _
+    | Floats _, (V.Int _ | V.Float _)
+    | Dates _, V.Date _
+    | Bools _, V.Bool _
+    | Dict _, V.Str _ ->
+        true
+    | _ -> false
+  in
+  (match p.data with Boxed _ -> false | _ -> true) && Array.for_all fits vals
+
+(* [p] followed by [vals] ([extendable p vals]), in fresh buffers, equal to
+   [of_values] of the concatenated values: the same padding under NULLs,
+   INTs promoted in a float column, and new strings appended to the
+   dictionary in first-occurrence order. *)
+let extend (p : t) (vals : V.t array) : t =
+  let n = length p and k = Array.length vals in
+  let nulls =
+    if p.nulls = None && not (Array.exists V.is_null vals) then None
+    else begin
+      let m = Bytes.make (n + k) '\000' in
+      Option.iter (fun pm -> Bytes.blit pm 0 m 0 n) p.nulls;
+      Array.iteri (fun i v -> if V.is_null v then Bytes.set m (n + i) '\001') vals;
+      Some m
+    end
+  in
+  let ints a enc =
+    let out = icreate (n + k) in
+    BA1.blit a (BA1.sub out 0 n);
+    Array.iteri (fun i v -> BA1.unsafe_set out (n + i) (enc v)) vals;
+    out
+  in
+  let data =
+    match p.data with
+    | Ints a -> Ints (ints a (function V.Int x -> x | _ -> 0))
+    | Dates a -> Dates (ints a (function V.Date x -> x | _ -> 0))
+    | Floats a ->
+        let out = fcreate (n + k) in
+        BA1.blit a (BA1.sub out 0 n);
+        Array.iteri
+          (fun i v ->
+            BA1.unsafe_set out (n + i)
+              (match v with
+              | V.Int x -> float_of_int x
+              | V.Float x -> x
+              | _ -> 0.0))
+          vals;
+        Floats out
+    | Bools b ->
+        Bools
+          (Bytes.cat b
+             (Bytes.init k (fun i ->
+                  if vals.(i) = V.Bool true then '\001' else '\000')))
+    | Dict (codes, dict) ->
+        let tbl = Hashtbl.create (Array.length dict) in
+        Array.iteri (fun c s -> Hashtbl.replace tbl s c) dict;
+        let added = ref [] and next = ref (Array.length dict) in
+        let code = function
+          | V.Str s -> (
+              match Hashtbl.find_opt tbl s with
+              | Some c -> c
+              | None ->
+                  let c = !next in
+                  Hashtbl.add tbl s c;
+                  added := s :: !added;
+                  incr next;
+                  c)
+          | _ -> 0
+        in
+        let codes = ints codes code in
+        Dict (codes, Array.append dict (Array.of_list (List.rev !added)))
+    | Boxed _ -> invalid_arg "Column.extend: boxed prefix"
+  in
+  { data; nulls }
+
+(* Decode [r] from [prefix], the decode of its first [prefix.nrows] rows:
+   [None] when some column would change kind, so only a full decode gives
+   [of_relation]'s answer. *)
+let extend_batch (prefix : batch) (r : R.t) : batch option =
+  let rows = R.rows_array r and n = prefix.nrows in
+  let k = Array.length rows - n in
+  let vals =
+    Array.mapi (fun ci _ -> Array.init k (fun i -> rows.(n + i).(ci))) prefix.cols
+  in
+  if not (Array.for_all2 extendable prefix.cols vals) then None
+  else
+    Some
+      ( decoding k @@ fun () ->
+        { names = R.columns r; cols = Array.map2 extend prefix.cols vals; nrows = n + k } )
+
+(* ------------------------------------------------------------------ *)
 (* Decode cache                                                        *)
 (* ------------------------------------------------------------------ *)
 
@@ -405,17 +510,23 @@ let cache : (int, batch * int ref) Hashtbl.t = Hashtbl.create 32
 let cache_mutex = Mutex.create ()
 let cache_tick = ref 0
 
+(* On a miss, the newest cached append ancestor seeds an extension instead
+   of a full decode. *)
 let cached (r : R.t) : batch =
   let key = R.id r in
-  let hit =
+  let hit, prefix =
     Mutex.lock cache_mutex;
     let res =
       match Hashtbl.find_opt cache key with
       | Some (b, stamp) ->
           incr cache_tick;
           stamp := !cache_tick;
-          Some b
-      | None -> None
+          (Some b, None)
+      | None ->
+          ( None,
+            List.find_map
+              (fun id -> Option.map fst (Hashtbl.find_opt cache id))
+              (R.ancestry r) )
     in
     Mutex.unlock cache_mutex;
     res
@@ -425,7 +536,11 @@ let cached (r : R.t) : batch =
       Obs.Metrics.incr decode_hits;
       b
   | None ->
-      let b = of_relation r in
+      let b =
+        match Option.bind prefix (fun p -> extend_batch p r) with
+        | Some b -> b
+        | None -> of_relation r
+      in
       Mutex.lock cache_mutex;
       incr cache_tick;
       Hashtbl.replace cache key (b, ref !cache_tick);

@@ -79,7 +79,12 @@ val to_relation : batch -> Data.Relation.t
 val gather : t -> ints -> int -> t
 
 (** Decode through the process-wide LRU cache, keyed by
-    {!Data.Relation.id}. Safe to call from multiple domains. *)
+    {!Data.Relation.id}. On a miss, a cached append ancestor
+    ({!Data.Relation.ancestry}) is extended by the appended rows alone —
+    one [exec.col_decodes] that adds only those rows to
+    [exec.col_decoded_rows] — unless a column's kind would change, in
+    which case the relation is decoded in full. Either way the result
+    equals {!of_relation}. Safe to call from multiple domains. *)
 val cached : Data.Relation.t -> batch
 
 (** Drop every cached decode (tests / memory pressure). *)

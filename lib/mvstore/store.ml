@@ -49,10 +49,30 @@ let stale t =
     (entries t)
 let base_tables g = Plancache.Candidates.footprint g
 
+(* Grouping sets can be merged by key only when every stored row's key
+   tuple names its grouping set: the sets are pairwise distinct as sets,
+   and no set rolls up a column that is nullable in the group's input (the
+   condition lint L104 checks), so a NULL in a rolled-up position can only
+   be the roll-up's padding. *)
+let mergeable_grouping cat g grp =
+  match grp.B.grp_grouping with
+  | B.Simple _ -> true
+  | B.Gsets sets ->
+      let canon = List.map (fun s -> List.sort_uniq compare (List.map norm s)) sets in
+      let rolled_up c = List.exists (fun s -> not (List.mem (norm c) s)) canon in
+      List.length (List.sort_uniq compare canon) = List.length canon
+      && List.for_all
+           (fun c ->
+             not
+               (rolled_up c
+               && Astmatch.Props.column_nullable cat g grp.B.grp_quant.B.q_box c))
+           (B.grouping_union grp.B.grp_grouping)
+
 (* Detect the insert-incremental shape: a single SELECT / GROUP BY / SELECT
-   block over base tables, simple grouping, no HAVING, additive-mergeable
-   aggregates (COUNT/SUM/MIN/MAX without DISTINCT), outputs that are plain
-   renames, and each base table scanned at most once. *)
+   block over base tables, simple grouping or mergeable grouping sets, no
+   HAVING, additive-mergeable aggregates (COUNT/SUM/MIN/MAX without
+   DISTINCT), outputs that are plain renames, and each base table scanned
+   at most once. *)
 let incr_plan_of cat g =
   let root = G.box g (G.root g) in
   match root.B.body with
@@ -60,115 +80,119 @@ let incr_plan_of cat g =
       match (u.B.sel_preds, u.B.sel_quants, u.B.sel_distinct) with
       | [], [ uq ], false -> (
           match (G.box g uq.B.q_box).B.body with
-          | B.Group grp -> (
-              match grp.B.grp_grouping with
-              | B.Gsets _ -> None
-              | B.Simple keys -> (
-                  match (G.box g grp.B.grp_quant.B.q_box).B.body with
-                  | B.Select low
-                    when List.for_all
-                           (fun q ->
-                             q.B.q_kind = B.Foreach
-                             && B.is_base (G.box g q.B.q_box))
-                           low.B.sel_quants ->
-                      let tables =
-                        List.map
-                          (fun q ->
-                            match (G.box g q.B.q_box).B.body with
-                            | B.Base { bt_table; _ } -> norm bt_table
-                            | _ -> assert false)
-                          low.B.sel_quants
+          | B.Group grp when mergeable_grouping cat g grp -> (
+              let keys = B.grouping_union grp.B.grp_grouping in
+              match (G.box g grp.B.grp_quant.B.q_box).B.body with
+              | B.Select low
+                when List.for_all
+                       (fun q ->
+                         q.B.q_kind = B.Foreach
+                         && B.is_base (G.box g q.B.q_box))
+                       low.B.sel_quants ->
+                  let tables =
+                    List.map
+                      (fun q ->
+                        match (G.box g q.B.q_box).B.body with
+                        | B.Base { bt_table; _ } -> norm bt_table
+                        | _ -> assert false)
+                      low.B.sel_quants
+                  in
+                  if
+                    List.length tables
+                    <> List.length (List.sort_uniq compare tables)
+                  then None
+                  else
+                    (* every root output must be a plain rename *)
+                    let rename_of (n, e) =
+                      match e with
+                      | E.Col { B.col; _ } -> Some (n, col)
+                      | _ -> None
+                    in
+                    let renames = List.map rename_of u.B.sel_outs in
+                    if List.exists (fun r -> r = None) renames then None
+                    else
+                      let renames = List.filter_map (fun r -> r) renames in
+                      let merge_of col =
+                        List.find_map
+                          (fun (n, { B.agg; _ }) ->
+                            if norm n = norm col then
+                              match (agg.E.fn, agg.E.distinct) with
+                              | (E.Count | E.Count_star | E.Sum), false ->
+                                  Some (Some M_add)
+                              | E.Min, false -> Some (Some M_min)
+                              | E.Max, false -> Some (Some M_max)
+                              | _ -> Some None
+                            else None)
+                          grp.B.grp_aggs
                       in
-                      if
-                        List.length tables
-                        <> List.length (List.sort_uniq compare tables)
-                      then None
-                      else
-                        (* every root output must be a plain rename *)
-                        let rename_of (n, e) =
-                          match e with
-                          | E.Col { B.col; _ } -> Some (n, col)
-                          | _ -> None
-                        in
-                        let renames = List.map rename_of u.B.sel_outs in
-                        if List.exists (fun r -> r = None) renames then None
-                        else
-                          let renames = List.filter_map (fun r -> r) renames in
-                          let merge_of col =
-                            List.find_map
-                              (fun (n, { B.agg; _ }) ->
-                                if norm n = norm col then
-                                  match (agg.E.fn, agg.E.distinct) with
-                                  | (E.Count | E.Count_star | E.Sum), false ->
-                                      Some (Some M_add)
-                                  | E.Min, false -> Some (Some M_min)
-                                  | E.Max, false -> Some (Some M_max)
-                                  | _ -> Some None
-                                else None)
-                              grp.B.grp_aggs
-                          in
-                          let keys_out = ref [] and aggs_out = ref [] in
-                          let ok = ref true in
-                          List.iter
+                      let keys_out = ref [] and aggs_out = ref [] in
+                      let ok = ref true in
+                      List.iter
+                        (fun (out_name, src) ->
+                          if List.exists (fun k -> norm k = norm src) keys
+                          then keys_out := !keys_out @ [ out_name ]
+                          else
+                            match merge_of src with
+                            | Some (Some m) ->
+                                aggs_out := !aggs_out @ [ (out_name, m) ]
+                            | Some None | None -> ok := false)
+                        renames;
+                      (* every grouping key must survive at the output,
+                         otherwise merging by key is ambiguous *)
+                      let all_keys_out =
+                        List.for_all
+                          (fun k ->
+                            List.exists
+                              (fun (_, src) -> norm src = norm k)
+                              renames)
+                          keys
+                      in
+                      if !ok && all_keys_out then begin
+                        let count_col =
+                          List.find_map
                             (fun (out_name, src) ->
-                              if List.exists (fun k -> norm k = norm src) keys
-                              then keys_out := !keys_out @ [ out_name ]
-                              else
-                                match merge_of src with
-                                | Some (Some m) ->
-                                    aggs_out := !aggs_out @ [ (out_name, m) ]
-                                | Some None | None -> ok := false)
-                            renames;
-                          (* every grouping key must survive at the output,
-                             otherwise merging by key is ambiguous *)
-                          let all_keys_out =
-                            List.for_all
-                              (fun k ->
-                                List.exists
-                                  (fun (_, src) -> norm src = norm k)
-                                  renames)
-                              keys
-                          in
-                          if !ok && all_keys_out then begin
-                            let count_col =
                               List.find_map
-                                (fun (out_name, src) ->
-                                  List.find_map
-                                    (fun (n, { B.agg; _ }) ->
-                                      if
-                                        norm n = norm src
-                                        && agg.E.fn = E.Count_star
-                                      then Some out_name
-                                      else None)
-                                    grp.B.grp_aggs)
-                                renames
-                            in
-                            (* deletion can only be folded in when every
-                               SUM argument is non-nullable: subtracting
-                               from a sum cannot restore the NULL that a
-                               group of all-NULL arguments requires *)
-                            let sums_nonnull =
-                              List.for_all
-                                (fun (n, { B.agg; arg }) ->
-                                  ignore n;
-                                  match (agg.E.fn, arg) with
-                                  | E.Sum, Some a ->
-                                      not
-                                        (Astmatch.Props.column_nullable cat g
-                                           grp.B.grp_quant.B.q_box a)
-                                  | _ -> true)
-                                grp.B.grp_aggs
-                            in
-                            Some
-                              {
-                                ip_keys = !keys_out;
-                                ip_aggs = !aggs_out;
-                                ip_count = count_col;
-                                ip_delete_safe = sums_nonnull;
-                              }
-                          end
-                          else None
-                  | _ -> None))
+                                (fun (n, { B.agg; _ }) ->
+                                  if
+                                    norm n = norm src
+                                    && agg.E.fn = E.Count_star
+                                  then Some out_name
+                                  else None)
+                                grp.B.grp_aggs)
+                            renames
+                        in
+                        (* deletion can only be folded in when every
+                           SUM argument is non-nullable (subtracting
+                           from a sum cannot restore the NULL that a
+                           group of all-NULL arguments requires) and no
+                           grouping set is empty (the grand-total row
+                           must survive its COUNT reaching 0) *)
+                        let sums_nonnull =
+                          List.for_all
+                            (fun (n, { B.agg; arg }) ->
+                              ignore n;
+                              match (agg.E.fn, arg) with
+                              | E.Sum, Some a ->
+                                  not
+                                    (Astmatch.Props.column_nullable cat g
+                                       grp.B.grp_quant.B.q_box a)
+                              | _ -> true)
+                            grp.B.grp_aggs
+                        in
+                        Some
+                          {
+                            ip_keys = !keys_out;
+                            ip_aggs = !aggs_out;
+                            ip_count = count_col;
+                            ip_delete_safe =
+                              sums_nonnull
+                              && not
+                                   (List.mem []
+                                      (B.grouping_sets grp.B.grp_grouping));
+                          }
+                      end
+                      else None
+              | _ -> None)
           | _ -> None)
       | _ -> None)
   | _ -> None
@@ -385,42 +409,27 @@ let merge_delta ?(sign = 1) plan current delta =
   in
   R.create cols rows
 
-let apply_insert store db ~table ~rows =
-  let table = norm table in
-  let went_stale = ref [] in
-  let smap, db =
-    Smap.fold
-      (fun key e (smap, db) ->
-        if not (List.mem table e.e_tables) then (smap, db)
-        else
-          match (e.e_incr, e.e_fresh) with
-          | Some plan, true ->
-              (* evaluate the definition against a database where the changed
-                 table holds only the delta *)
-              let cols =
-                match Catalog.find_table (Engine.Db.catalog db) table with
-                | Some t -> Catalog.column_names t
-                | None -> []
-              in
-              let delta_db = Engine.Db.put db table (R.create cols rows) in
-              let delta = Engine.Exec.run delta_db e.e_graph in
-              let current = Engine.Db.get_exn db e.e_name in
-              let merged = merge_delta plan current delta in
-              (smap, Engine.Db.put db e.e_name merged)
-          | _ ->
-              if e.e_fresh then went_stale := e.e_name :: !went_stale;
-              (Smap.add key { e with e_fresh = false } smap, db))
-      store.s_map (store.s_map, db)
-  in
-  (touch { store with s_map = smap }, db, List.rev !went_stale)
-
 let deletable plan =
   plan.ip_count <> None
   && plan.ip_delete_safe
   && List.for_all (fun (_, m) -> m = M_add) plan.ip_aggs
 
-let apply_delete store db ~table ~rows =
+(* Fold a delta of [table] into every fresh summary over it whose plan
+   [absorbs] it: evaluate the definition against a database where the
+   changed table holds only the delta (one relation, shared by every
+   summary), then merge with [sign]. The other summaries over [table] go
+   stale. *)
+let apply_delta ~sign ~absorbs store db ~table ~rows =
   let table = norm table in
+  let delta_db =
+    lazy
+      (let cols =
+         match Catalog.find_table (Engine.Db.catalog db) table with
+         | Some t -> Catalog.column_names t
+         | None -> []
+       in
+       Engine.Db.put db table (R.create cols rows))
+  in
   let went_stale = ref [] in
   let smap, db =
     Smap.fold
@@ -428,23 +437,19 @@ let apply_delete store db ~table ~rows =
         if not (List.mem table e.e_tables) then (smap, db)
         else
           match (e.e_incr, e.e_fresh) with
-          | Some plan, true when deletable plan ->
-              let cols =
-                match Catalog.find_table (Engine.Db.catalog db) table with
-                | Some t -> Catalog.column_names t
-                | None -> []
-              in
-              let delta_db = Engine.Db.put db table (R.create cols rows) in
-              let delta = Engine.Exec.run delta_db e.e_graph in
+          | Some plan, true when absorbs plan ->
+              let delta = Engine.Exec.run (Lazy.force delta_db) e.e_graph in
               let current = Engine.Db.get_exn db e.e_name in
-              let merged = merge_delta ~sign:(-1) plan current delta in
-              (smap, Engine.Db.put db e.e_name merged)
+              (smap, Engine.Db.put db e.e_name (merge_delta ~sign plan current delta))
           | _ ->
               if e.e_fresh then went_stale := e.e_name :: !went_stale;
               (Smap.add key { e with e_fresh = false } smap, db))
       store.s_map (store.s_map, db)
   in
   (touch { store with s_map = smap }, db, List.rev !went_stale)
+
+let apply_insert = apply_delta ~sign:1 ~absorbs:(fun _ -> true)
+let apply_delete = apply_delta ~sign:(-1) ~absorbs:deletable
 
 let rewritable store =
   List.filter_map

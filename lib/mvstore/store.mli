@@ -3,21 +3,28 @@
     Each summary table is defined by a SQL query, materialized through the
     engine into an ordinary stored table, and registered in the catalog so
     rewritten queries can scan it. Inserts into base tables are folded into
-    eligible summary tables incrementally (insert-delta aggregation); other
-    summary tables over the changed table turn stale and are excluded from
-    rewriting until refreshed (the paper's problem (c), after [10]). *)
+    eligible summary tables incrementally (insert-delta aggregation),
+    grouping-set summaries included when each stored row's key identifies
+    its grouping set; other summary tables over the changed table turn stale
+    and are excluded from rewriting until refreshed (the paper's problem
+    (c), after [10]). *)
 
 type merge_fn = M_add | M_min | M_max
 
 type incr_plan = {
-  ip_keys : string list;                 (** MV columns that are group keys *)
+  ip_keys : string list;
+      (** MV columns that are group keys: the outputs of every column in
+          the grouping union. A grouping-set summary qualifies only when its
+          sets are pairwise distinct and none rolls up a nullable column,
+          so the key tuple (NULL padding included) names the row's set. *)
   ip_aggs : (string * merge_fn) list;    (** MV aggregate columns *)
   ip_count : string option;
       (** a COUNT-star column, when present: required for delete
           maintenance (it detects emptied groups) *)
   ip_delete_safe : bool;
       (** no SUM over a nullable argument (subtraction cannot restore the
-          NULL that an all-NULL group requires) *)
+          NULL that an all-NULL group requires) and no empty grouping set
+          (the grand-total row must outlive its COUNT reaching 0) *)
 }
 
 type entry = {
@@ -99,9 +106,10 @@ val apply_insert :
 
 (** [apply_delete store db ~table ~rows] must be called with the deleted
     rows *before* they are removed from [table]. Summary tables whose plan
-    has only subtractable aggregates (COUNT/SUM) and a COUNT-star column
-    absorb the delta (groups whose count reaches zero disappear); MIN/MAX
-    summaries and non-incremental ones become stale. The third component
+    has only subtractable aggregates (COUNT/SUM), a COUNT-star column and
+    no empty grouping set absorb the delta (groups whose count reaches zero
+    disappear); MIN/MAX summaries, grand totals and non-incremental ones
+    become stale. The third component
     names the entries that {e newly} went stale. *)
 val apply_delete :
   t -> Engine.Db.t -> table:string -> rows:Data.Relation.row list ->

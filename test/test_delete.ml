@@ -121,36 +121,102 @@ let test_summary_without_count_goes_stale_on_delete () =
   let e = Option.get (S.find (Sess.store sn) "ms") in
   Alcotest.(check bool) "stale (no tombstone counter)" false e.S.e_fresh
 
-(* property: random insert/delete interleavings keep the summary equal to a
-   recomputation *)
-let prop_mixed_maintenance =
-  QCheck.Test.make ~name:"insert/delete maintenance equals recompute"
-    ~count:60
-    QCheck.(
-      list_of_size (Gen.int_range 1 8)
-        (pair bool (pair (int_range 1 3) (int_range 0 20))))
-    (fun ops ->
-      let sn = Sess.create () in
-      ignore
-        (script sn
-           "CREATE TABLE t (g INT NOT NULL, v INT NOT NULL); \
-            INSERT INTO t VALUES (1, 1), (2, 2), (3, 3); \
-            CREATE SUMMARY TABLE m AS SELECT g, COUNT(*) AS c, SUM(v) AS s \
-            FROM t GROUP BY g;");
-      List.iter
-        (fun (is_insert, (g, v)) ->
-          if is_insert then
-            ignore (script sn (Printf.sprintf "INSERT INTO t VALUES (%d, %d);" g v))
-          else
-            ignore (script sn (Printf.sprintf "DELETE FROM t WHERE g = %d AND v = %d;" g v)))
-        ops;
-      let e = Option.get (S.find (Sess.store sn) "m") in
-      if not e.S.e_fresh then true (* stale is always allowed, never wrong *)
+let test_scalar_summary_survives_deleting_everything () =
+  (* the grand-total row must outlive its COUNT reaching 0: SQL answers
+     (0, NULL) over an empty table, so such a DELETE marks the summary
+     stale instead of dropping its only row *)
+  let sn = Sess.create () in
+  let rel =
+    last_table
+      (script sn
+         "CREATE TABLE T (a INT NOT NULL, v INT NOT NULL); \
+          INSERT INTO T VALUES (1,2),(2,3); \
+          CREATE SUMMARY TABLE s AS SELECT COUNT(*) AS c, SUM(v) AS sv FROM T; \
+          DELETE FROM T; \
+          SELECT COUNT(*) AS c, SUM(v) AS sv FROM T;")
+  in
+  Alcotest.(check (list (list string)))
+    "one (0, NULL) row" [ [ "0"; "NULL" ] ]
+    (List.map (List.map V.to_string) (List.map Array.to_list (R.rows rel)));
+  Alcotest.(check bool) "stale" false
+    (Option.get (S.find (Sess.store sn) "s")).S.e_fresh
+
+(* Random insert/delete interleavings over t (g, v both NOT NULL): each
+   summary in [summaries] that is still fresh afterwards must equal a
+   recomputation. Returns the names of the summaries that stayed fresh. *)
+let mixed_maintenance summaries ops =
+  let sn = Sess.create () in
+  ignore
+    (script sn
+       "CREATE TABLE t (g INT NOT NULL, v INT NOT NULL); \
+        INSERT INTO t VALUES (1, 1), (2, 2), (3, 3);");
+  List.iter
+    (fun (name, sql) ->
+      ignore (script sn (Printf.sprintf "CREATE SUMMARY TABLE %s AS %s;" name sql)))
+    summaries;
+  List.iter
+    (fun (is_insert, (g, v)) ->
+      if is_insert then
+        ignore (script sn (Printf.sprintf "INSERT INTO t VALUES (%d, %d);" g v))
+      else
+        ignore (script sn (Printf.sprintf "DELETE FROM t WHERE g = %d AND v = %d;" g v)))
+    ops;
+  List.filter_map
+    (fun (name, _) ->
+      let e = Option.get (S.find (Sess.store sn) name) in
+      if not e.S.e_fresh then None (* stale is always allowed, never wrong *)
       else
         let recomputed = Engine.Exec.run (Sess.db sn) e.S.e_graph in
-        let stored = Engine.Db.get_exn (Sess.db sn) "m" in
-        R.bag_equal recomputed
-          (R.project stored (Array.to_list (R.columns recomputed))))
+        let stored = Engine.Db.get_exn (Sess.db sn) name in
+        if
+          R.bag_equal recomputed
+            (R.project stored (Array.to_list (R.columns recomputed)))
+        then Some name
+        else QCheck.Test.fail_reportf "%s differs from its recomputation" name)
+    summaries
+
+let arb_ops =
+  QCheck.(
+    list_of_size (Gen.int_range 1 8)
+      (pair bool (pair (int_range 1 3) (int_range 0 20))))
+
+(* property: random insert/delete interleavings keep the summaries equal to
+   a recomputation *)
+let prop_mixed_maintenance =
+  QCheck.Test.make ~name:"insert/delete maintenance equals recompute"
+    ~count:60 arb_ops
+    (fun ops ->
+      ignore
+        (mixed_maintenance
+           [
+             ("m", "SELECT g, COUNT(*) AS c, SUM(v) AS s FROM t GROUP BY g");
+             ("sc", "SELECT COUNT(*) AS c, SUM(v) AS s FROM t");
+           ]
+           ops);
+      true)
+
+(* the same over grouping-set summaries: without an empty set every delete
+   is folded in, so that summary must stay fresh; with one, a delete marks
+   it stale and inserts alone keep it fresh *)
+let prop_grouping_sets_mixed_maintenance =
+  QCheck.Test.make
+    ~name:"grouping-set insert/delete maintenance equals recompute" ~count:60
+    arb_ops
+    (fun ops ->
+      let fresh =
+        mixed_maintenance
+          [
+            ( "gs",
+              "SELECT g, v, COUNT(*) AS c, SUM(v) AS s FROM t GROUP BY \
+               GROUPING SETS ((g, v), (g))" );
+            ( "gt",
+              "SELECT g, COUNT(*) AS c, SUM(v) AS s FROM t GROUP BY \
+               GROUPING SETS ((g), ())" );
+          ]
+          ops
+      in
+      List.mem "gs" fresh
+      && List.mem "gt" fresh = List.for_all fst ops)
 
 let test_delete_errors () =
   let sn = setup () in
@@ -178,5 +244,8 @@ let suite =
     Alcotest.test_case "no counter goes stale" `Quick
       test_summary_without_count_goes_stale_on_delete;
     Alcotest.test_case "delete errors" `Quick test_delete_errors;
+    Alcotest.test_case "scalar summary survives deleting everything" `Quick
+      test_scalar_summary_survives_deleting_everything;
     QCheck_alcotest.to_alcotest prop_mixed_maintenance;
+    QCheck_alcotest.to_alcotest prop_grouping_sets_mixed_maintenance;
   ]

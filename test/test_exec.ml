@@ -320,6 +320,145 @@ let test_column_exact () =
   Alcotest.(check bool) "of_values promotes" true
     (C.to_values (C.of_values [| V.Int 7; V.Float 0.5 |]) = [| V.Float 7.0; V.Float 0.5 |])
 
+(* ---------------- append-extending decode ---------------- *)
+
+module C = Engine.Column
+
+(* Everything a decode fixes: kind, every buffer slot (the padding under
+   NULLs included), the null mask and the dictionary's order. *)
+let dump_column (c : C.t) =
+  let n = C.length c in
+  let slots f = String.concat "," (List.init n f) in
+  let ints a = slots (fun i -> string_of_int (Bigarray.Array1.get a i)) in
+  let data =
+    match c.C.data with
+    | C.Ints a -> "ints " ^ ints a
+    | C.Dates a -> "dates " ^ ints a
+    | C.Floats a ->
+        "floats "
+        ^ slots (fun i -> Int64.to_string (Int64.bits_of_float (Bigarray.Array1.get a i)))
+    | C.Bools b -> "bools " ^ String.escaped (Bytes.to_string b)
+    | C.Dict (codes, dict) ->
+        "dict " ^ ints codes ^ " | " ^ String.concat "," (Array.to_list dict)
+    | C.Boxed a -> "boxed " ^ String.concat "," (Array.to_list (Array.map V.to_string a))
+  in
+  let nulls =
+    match c.C.nulls with None -> "none" | Some m -> String.escaped (Bytes.to_string m)
+  in
+  data ^ " nulls " ^ nulls
+
+let same_batch (a : C.batch) (b : C.batch) =
+  a.C.nrows = b.C.nrows
+  && a.C.names = b.C.names
+  && Array.for_all2 (fun x y -> dump_column x = dump_column y) a.C.cols b.C.cols
+
+type family = Fint | Ffloat | Fstr | Fdate | Fbool
+
+(* Mostly values of the column's family, some NULLs, and now and then a
+   value of another kind (an INT column receiving a FLOAT, ...). *)
+let gen_value fam =
+  let open QCheck.Gen in
+  let own =
+    match fam with
+    | Fint -> map (fun x -> V.Int x) (int_range (-5) 5)
+    | Ffloat -> map (fun x -> V.Float x) (float_range (-10.) 10.)
+    | Fstr -> map (fun x -> V.Str x) (oneofl [ "a"; "b"; "c"; "d"; "e"; "f" ])
+    | Fdate -> map (fun d -> V.date 1995 1 d) (int_range 1 28)
+    | Fbool -> map (fun b -> V.Bool b) bool
+  in
+  let other =
+    match fam with
+    | Fint -> V.Float 0.5
+    | Ffloat -> V.Int 3
+    | Fstr -> V.Int 1
+    | Fdate -> V.Str "x"
+    | Fbool -> V.Int 0
+  in
+  frequency [ (2, return V.Null); (12, own); (1, return other) ]
+
+(* A relation, then appends, each decoded through the cache or not. *)
+let gen_appends =
+  let open QCheck.Gen in
+  let* fams = list_size (int_range 1 4) (oneofl [ Fint; Ffloat; Fstr; Fdate; Fbool ]) in
+  let* null_prefix = list_repeat (List.length fams) (frequency [ (1, return true); (5, return false) ]) in
+  let row ~first =
+    map Array.of_list
+      (flatten_l
+         (List.map2
+            (fun fam nul -> if first && nul then return V.Null else gen_value fam)
+            fams null_prefix))
+  in
+  let* init = list_size (int_range 0 6) (row ~first:true) in
+  let* appends =
+    list_size (int_range 1 4) (pair (list_size (int_range 0 4) (row ~first:false)) bool)
+  in
+  return (List.length fams, init, appends)
+
+let print_appends (width, init, appends) =
+  let cols = List.init width (Printf.sprintf "c%d") in
+  String.concat "\n"
+    (R.to_string (R.create cols init)
+    :: List.map
+         (fun (rows, decode) ->
+           Printf.sprintf "append (decode %b):\n%s" decode
+             (R.to_string (R.create cols rows)))
+         appends)
+
+let prop_decode_extension =
+  QCheck.Test.make ~name:"append-extended decode equals a full decode" ~count:300
+    (QCheck.make ~print:print_appends gen_appends)
+    (fun (width, init, appends) ->
+      let r0 = R.create (List.init width (Printf.sprintf "c%d")) init in
+      ignore (C.cached r0);
+      let last =
+        List.fold_left
+          (fun r (rows, decode) ->
+            let r' = R.append r rows in
+            if decode then ignore (C.cached r');
+            r')
+          r0 appends
+      in
+      same_batch (C.cached last) (C.of_relation last))
+
+let decoded_rows = Obs.Metrics.counter "exec.col_decoded_rows"
+
+(* rows decoded by [C.cached r] *)
+let decode_cost r =
+  let before = Obs.Metrics.counter_value decoded_rows in
+  ignore (C.cached r);
+  Obs.Metrics.counter_value decoded_rows - before
+
+let test_decode_extension_cost () =
+  let r = R.create [ "a"; "s" ] [ [| i 1; s "x" |]; [| i 2; V.Null |]; [| i 3; s "y" |] ] in
+  ignore (C.cached r);
+  let r' = R.append r [ [| i 4; s "z" |]; [| V.Null; s "x" |] ] in
+  Alcotest.(check int) "only the appended rows" 2 (decode_cost r');
+  Alcotest.(check int) "then a hit" 0 (decode_cost r');
+  Alcotest.(check bool) "equals a full decode" true (same_batch (C.cached r') (C.of_relation r'));
+  (* kind changes: the whole relation is decoded again *)
+  let floated = R.append r' [ [| f 0.5; s "w" |] ] in
+  Alcotest.(check int) "INT column receiving a FLOAT" 6 (decode_cost floated);
+  let nulls = R.create [ "a" ] [ [| V.Null |]; [| V.Null |] ] in
+  ignore (C.cached nulls);
+  Alcotest.(check int) "all-NULL prefix" 3 (decode_cost (R.append nulls [ [| i 1 |] ]))
+
+(* Through a session: after an INSERT of k rows into a decoded table, the
+   next scan decodes exactly k rows. *)
+let test_insert_decodes_only_new_rows () =
+  Engine.Exec.with_engine Engine.Exec.Vector @@ fun () ->
+  let sn = Mvstore.Session.create () in
+  let exec sql = ignore (Mvstore.Session.exec_sql sn sql) in
+  exec
+    "CREATE TABLE w (a INT NOT NULL, b VARCHAR, c FLOAT); INSERT INTO w \
+     VALUES (1, 'x', 0.5), (2, NULL, 1.5), (3, 'y', NULL);";
+  let scan () = exec "SELECT a, b, c FROM w WHERE a > 0;" in
+  scan ();
+  exec "INSERT INTO w VALUES (4, 'z', 2.5), (5, NULL, 3), (6, 'x', NULL);";
+  let before = Obs.Metrics.counter_value decoded_rows in
+  scan ();
+  Alcotest.(check int) "three rows decoded" 3
+    (Obs.Metrics.counter_value decoded_rows - before)
+
 let suite =
   [
     Alcotest.test_case "3vl filtering" `Quick test_filter_3vl;
@@ -343,4 +482,8 @@ let suite =
       test_nan_aggregates;
     Alcotest.test_case "box self times add up" `Quick test_box_self_times_add_up;
     Alcotest.test_case "exact column of mixed values" `Quick test_column_exact;
+    QCheck_alcotest.to_alcotest prop_decode_extension;
+    Alcotest.test_case "decode extension cost" `Quick test_decode_extension_cost;
+    Alcotest.test_case "insert decodes only new rows" `Quick
+      test_insert_decodes_only_new_rows;
   ]

@@ -84,6 +84,20 @@ let test_pp_contains_data () =
   Alcotest.(check bool) "row count shown" true (contains_sub txt "(3 rows)");
   Alcotest.(check bool) "header shown" true (contains_sub txt "| a ")
 
+let test_append_ancestry () =
+  let r0 = R.create [ "a" ] [ [| V.Int 0 |] ] in
+  Alcotest.(check (list int)) "created: none" [] (R.ancestry r0);
+  let r1 = R.append r0 [ [| V.Int 1 |] ] in
+  let r2 = R.append r1 [] in
+  Alcotest.(check (list int)) "newest first" [ R.id r1; R.id r0 ] (R.ancestry r2);
+  Alcotest.(check (list int)) "filter starts afresh" []
+    (R.ancestry (R.filter (fun _ -> true) r2));
+  let last = ref r2 in
+  for k = 1 to 20 do
+    last := R.append !last [ [| V.Int k |] ]
+  done;
+  Alcotest.(check int) "bounded" 16 (List.length (R.ancestry !last))
+
 let suite =
   [
     Alcotest.test_case "create checks width" `Quick test_create_checks_width;
@@ -96,4 +110,5 @@ let suite =
     Alcotest.test_case "approximate bag equality" `Quick test_bag_equal_approx;
     Alcotest.test_case "sort/filter/append" `Quick test_sort_filter_append;
     Alcotest.test_case "pretty printing" `Quick test_pp_contains_data;
+    Alcotest.test_case "append ancestry" `Quick test_append_ancestry;
   ]
