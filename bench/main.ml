@@ -123,8 +123,13 @@ let governed_obj : Json.t ref = ref (Json.Obj [])
 let validated_obj : Json.t ref = ref (Json.Obj [])
 let proving_obj : Json.t ref = ref (Json.Obj [])
 
+(* The knobs every section runs under unless it sets its own: the process
+   default parsed from the ASTQL_* environment. *)
+let knobs = Govern.Knobs.process ()
+
 let () =
-  Printf.printf "=== astrw bench: scale %d ===\n%!" scale;
+  Printf.printf "=== astrw bench: scale %d ===\nknobs: %s\n%!" scale
+    (Govern.Knobs.to_string knobs);
   let params = W.scaled scale in
   let tables = W.generate params in
   let db0 = Engine.Db.of_tables (W.catalog ()) tables in
@@ -307,9 +312,7 @@ let () =
   let vec_rows =
     List.map
       (fun (name, db, g, oracle) ->
-        let run () =
-          Engine.Exec.with_engine Engine.Exec.Vector (fun () -> Engine.Exec.run db g)
-        in
+        let run () = Engine.Exec.run ~engine:Govern.Knobs.Vector db g in
         let correct =
           if oracle then Some (R.bag_equal_approx (run ()) (Engine.Reference.run db g))
           else None
@@ -329,14 +332,7 @@ let () =
           ])
       vec_cases
   in
-  let vectorized_obj =
-    Json.Obj
-      [
-        ( "default_engine",
-          Json.Str (Engine.Exec.engine_to_string Engine.Exec.default_engine) );
-        ("rows", Json.List vec_rows);
-      ]
-  in
+  let vectorized_obj = Json.Obj [ ("rows", Json.List vec_rows) ] in
   print_newline ();
 
   (* ---------------- ablations (DESIGN.md section 5) ------------------ *)
@@ -347,7 +343,7 @@ let () =
       (fun (c : Workload.Paper_queries.case) -> c.expect_rewrite)
       Workload.Paper_queries.cases
   in
-  let decide () =
+  let decide knobs =
     (* cheap decision run on a small database *)
     let tables =
       W.generate { W.default_params with n_custs = 2; trans_per_acct_year = 10 }
@@ -358,16 +354,16 @@ let () =
         let cat = Engine.Db.catalog db in
         let qg = build cat c.query in
         let ag = build cat c.ast in
-        (c.name, Astmatch.Navigator.find_matches cat ~query:qg ~ast:ag <> []))
+        (c.name, Astmatch.Navigator.matches ~knobs cat ~query:qg ~ast:ag))
       positive
   in
-  let baseline = decide () in
+  let baseline = decide knobs in
   let ablations =
     [
-      ("equivalence classes", Astmatch.Config.equivalence_classes);
-      ("predicate subsumption", Astmatch.Config.predicate_subsumption);
-      ("greedy derivation", Astmatch.Config.greedy_derivation);
-      ("smallest cuboid", Astmatch.Config.smallest_cuboid);
+      ("equivalence classes", { knobs with equivalence_classes = false });
+      ("predicate subsumption", { knobs with predicate_subsumption = false });
+      ("greedy derivation", { knobs with greedy_derivation = false });
+      ("smallest cuboid", { knobs with smallest_cuboid = false });
     ]
   in
   Printf.printf "%-24s %9s   lost rewrites\n" "feature disabled" "matches";
@@ -375,8 +371,8 @@ let () =
     (List.length (List.filter snd baseline))
     (List.length baseline);
   List.iter
-    (fun (label, switch) ->
-      let rows = Astmatch.Config.without switch decide in
+    (fun (label, ablated) ->
+      let rows = decide ablated in
       let lost =
         List.filter_map
           (fun ((name, ok), (_, ok0)) ->
@@ -677,7 +673,7 @@ let () =
   in
   (* The point of verify:Static — whole query classes with certified
      plans stop paying the double execution. Requires the prover on. *)
-  (if Prove.Level.rewrite_on () then
+  (if knobs.prove <> Govern.Knobs.Prove_off then
      let stat label field =
        match List.assoc label verify_rows with
        | Json.Obj fields -> (
@@ -813,7 +809,6 @@ let () =
   proving_obj :=
     Json.Obj
       [
-        ("level", Json.Str (Prove.Level.to_string (Prove.Level.current ())));
         ("sizes", Json.List prove_rows);
         ("attempts", Json.Int (prove_counter "prove.attempts"));
         ("proved", Json.Int (prove_counter "prove.proved"));
@@ -832,20 +827,22 @@ let () =
     "=== PERF7: static IR validation overhead (cold planning, %d MVs) ===\n"
     n_mvs;
   let vlevels =
-    [
-      ("off", Lint.Level.Off);
-      ("final-plan", Lint.Level.Final);
-      ("every-candidate", Lint.Level.Candidates);
-    ]
+    Govern.Knobs.
+      [
+        ("off", Validate_off);
+        ("final-plan", Final_plan);
+        ("every-candidate", Every_candidate);
+      ]
   in
   let vrounds7 = if smoke then 4 else 25 in
-  let vpass level =
-    Lint.Level.with_level level @@ fun () ->
+  let vpass validate =
     let lats = ref [] in
     for _ = 1 to vrounds7 do
       List.iter
         (fun g ->
-          let planner = Plancache.Planner.create () in
+          let planner =
+            Plancache.Planner.create ~knobs:{ knobs with validate } ()
+          in
           let t0 = Unix.gettimeofday () in
           ignore
             (Plancache.Planner.plan planner ~cat:pcat
@@ -1181,6 +1178,7 @@ let () =
        [
          ("scale", Json.Int scale);
          ("smoke", Json.Bool smoke);
+         ("knobs", Json.Str (Govern.Knobs.to_string knobs));
          ("verification_failures", Json.Int !fails);
          ("figures", Json.List !figure_rows);
          ("workload", Json.List !workload_rows);

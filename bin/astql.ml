@@ -181,7 +181,7 @@ let print_lint session =
    matter statically); queries are elaborated to QGM and validated without
    running; summary definitions additionally collect Advisor diagnostics.
    Returns false on a hard failure (semantic error, validator violation). *)
-let lint_stmt session ~file ~stmt_no ~warnings stmt =
+let lint_stmt session ~prove ~file ~stmt_no ~warnings stmt =
   let module A = Sqlsyn.Ast in
   let cat () = Engine.Db.catalog (Mvstore.Session.db session) in
   let fail fmt =
@@ -196,9 +196,9 @@ let lint_stmt session ~file ~stmt_no ~warnings stmt =
     | exception Qgm.Builder.Sem_error m ->
         fail "%s: semantic error: %s" what m
     | g -> (
-        (* deep mode adds the V118 prover pass (statically-unsatisfiable
-           predicates) on top of the structural checks *)
-        match Lint.Validate.check ~cat:(cat ()) ~deep:true g with
+        (* with the prover on, the V118 pass (statically-unsatisfiable
+           predicates) runs on top of the structural checks *)
+        match Lint.Validate.check ~cat:(cat ()) ~prove g with
         | [] -> true
         | vs ->
             List.iter
@@ -328,71 +328,43 @@ let repl ?durable session =
   in
   loop ()
 
-(* Per-statement resource limits: the environment defaults
-   (ASTQL_DEADLINE_MS / ASTQL_MATCH_BUDGET) overridden by the flags. *)
-let limits_of ~deadline_ms ~match_budget =
-  let module B = Govern.Budget in
-  let l = B.default_limits () in
-  let l =
-    match deadline_ms with
-    | None -> l
-    | Some ms -> { l with B.bl_deadline_ms = Some ms }
-  in
-  match match_budget with
-  | None -> l
-  | Some n -> { l with B.bl_matches = Some n }
-
-let make_session ~rewrite ~verify ~budget ~auto_maint ~demo ~scale =
+let make_session ~rewrite ~verify ~knobs ~auto_maint ~demo ~scale =
   if demo then begin
     let params = Workload.Star_schema.scaled scale in
     let tables = Workload.Star_schema.generate params in
     let session =
-      Mvstore.Session.of_tables ~rewrite ~verify ~budget ~auto_maint
+      Mvstore.Session.of_tables ~rewrite ~verify ~knobs ~auto_maint
         (Workload.Star_schema.catalog ()) tables
     in
     Printf.printf "loaded star schema (%d transactions)\n"
       (Data.Relation.cardinality (List.assoc "Trans" tables));
     session
   end
-  else Mvstore.Session.create ~rewrite ~verify ~budget ~auto_maint ()
-
-(* With --durability, the recovered shared state is canonical: demo seed
-   data only applies when the database was recovered empty (and is folded
-   into a checkpoint immediately so it survives a crash before the first
-   commit). *)
-let state_empty shared =
-  let snap = Mvstore.Shared.snapshot shared in
-  Catalog.tables (Engine.Db.catalog snap.Mvstore.Shared.sn_db) = []
+  else Mvstore.Session.create ~rewrite ~verify ~knobs ~auto_maint ()
 
 (* Build the session for run/repl/demo and hand it to [k] together with
-   the durability manager when one is active. Without --durability this
-   is the ordinary private in-process session. With it, boot-time
-   recovery runs first, the session attaches to the recovered shared
-   state with the commit hook installed (every committed write statement
-   is WAL-logged before it is published), quarantined summaries from
-   degraded recovery are queued for self-healing rebuild, and — however
-   [k] returns or raises — a final checkpoint folds the WAL away so the
-   next boot replays nothing. *)
-let with_session ~rewrite ~verify ~budget ~auto_maint ~demo ~scale
-    ~durability ~fsync ~checkpoint_every k =
-  match durability with
+   the durability manager when one is active. Without [durable] this is
+   the ordinary private in-process session. With it, boot-time recovery
+   runs first, the session attaches to the recovered shared state with the
+   commit hook installed (every committed write statement is WAL-logged
+   before it is published), quarantined summaries from degraded recovery
+   are queued for self-healing rebuild, and — however [k] returns or
+   raises — a final checkpoint folds the WAL away so the next boot
+   replays nothing. Demo seed data only applies when the database was
+   recovered empty (and is folded into a checkpoint immediately so it
+   survives a crash before the first commit). *)
+let with_session ~rewrite ~verify ~knobs ~auto_maint ~demo ~scale ~durable k =
+  match durable with
   | None ->
-      k (make_session ~rewrite ~verify ~budget ~auto_maint ~demo ~scale) None
-  | Some dir ->
-      let cfg =
-        {
-          Durable.Manager.c_dir = dir;
-          c_fsync = fsync;
-          c_checkpoint_every = checkpoint_every;
-        }
-      in
+      k (make_session ~rewrite ~verify ~knobs ~auto_maint ~demo ~scale) None
+  | Some cfg ->
       let mgr, shared, report = Durable.Manager.recover cfg in
       Printf.eprintf "durability on — %s\n%!"
         (Durable.Manager.describe_report report);
       if demo then
-        if state_empty shared then begin
+        if Cli.state_empty shared then begin
           let seed =
-            make_session ~rewrite ~verify ~budget ~auto_maint ~demo ~scale
+            make_session ~rewrite ~verify ~knobs ~auto_maint ~demo ~scale
           in
           Mvstore.Shared.with_write shared (fun _ ->
               ( {
@@ -406,7 +378,7 @@ let with_session ~rewrite ~verify ~budget ~auto_maint ~demo ~scale
           Printf.eprintf
             "recovered state is non-empty; ignoring demo seed data\n%!";
       let session =
-        Mvstore.Session.attach ~rewrite ~verify ~budget ~auto_maint shared
+        Mvstore.Session.attach ~rewrite ~verify ~knobs ~auto_maint shared
       in
       Durable.Manager.bind mgr session;
       List.iter
@@ -419,10 +391,6 @@ let with_session ~rewrite ~verify ~budget ~auto_maint ~demo ~scale
         (fun () -> k session (Some mgr))
 
 open Cmdliner
-
-let rewrite_flag =
-  let doc = "Disable transparent summary-table rewriting." in
-  Arg.(value & flag & info [ "no-rewrite" ] ~doc)
 
 let verify_conv =
   let parse s =
@@ -454,173 +422,6 @@ let verify_arg =
   in
   Arg.(value & opt verify_conv Mvstore.Session.Off & info [ "verify" ] ~doc)
 
-let fault_arg =
-  let doc =
-    "Arm deterministic fault-injection points (testing): comma-separated \
-     $(i,point)[:$(i,N)] where point is navigate, match, compensate, \
-     translate, corrupt, refresh, delay or accept — the Nth hit of that \
-     point fails (default 1; $(b,delay) instead stalls every hit from the \
-     Nth on, for exercising deadlines; $(b,accept) crashes a server \
-     connection handler, for exercising containment)."
-  in
-  Arg.(value & opt (some string) None & info [ "fault" ] ~docv:"SPEC" ~doc)
-
-let deadline_arg =
-  let doc =
-    "Per-statement wall-clock deadline in milliseconds. When planning \
-     overruns it, the best-so-far (possibly unrewritten) plan is used and \
-     EXPLAIN REWRITE reports $(b,degraded); when rewritten execution \
-     overruns it, the base plan is re-run unbudgeted. Defaults to \
-     $(b,ASTQL_DEADLINE_MS) from the environment, else unlimited."
-  in
-  Arg.(
-    value & opt (some float) None & info [ "deadline-ms" ] ~docv:"MS" ~doc)
-
-let match_budget_arg =
-  let doc =
-    "Per-statement cap on match-function invocations during rewrite \
-     planning. Defaults to $(b,ASTQL_MATCH_BUDGET) from the environment, \
-     else unlimited."
-  in
-  Arg.(value & opt (some int) None & info [ "match-budget" ] ~docv:"N" ~doc)
-
-let validate_conv =
-  let parse s =
-    match Lint.Level.of_string s with
-    | Some l -> Ok l
-    | None -> Error (`Msg "expected 0|off, 1|final-plan, or 2|every-candidate")
-  in
-  let print fmt l = Format.pp_print_string fmt (Lint.Level.to_string l) in
-  Arg.conv (parse, print)
-
-let validate_arg =
-  let doc =
-    "Static IR validation level: $(b,0)/$(b,off) disables it, \
-     $(b,1)/$(b,final-plan) checks the final rewritten plan before it is \
-     cached or executed (the default), $(b,2)/$(b,every-candidate) also \
-     checks builder output and every compensation the rewriter builds \
-     (an ill-formed candidate is rejected and its summary table \
-     quarantined). Defaults to $(b,ASTQL_VALIDATE) from the environment."
-  in
-  Arg.(
-    value
-    & opt (some validate_conv) None
-    & info [ "validate" ] ~docv:"LEVEL" ~doc)
-
-let set_validate = function None -> () | Some l -> Lint.Level.set l
-
-let auto_maint_flag =
-  let doc =
-    "Self-healing maintenance: auto-refresh summary tables that DML left \
-     stale, at statement boundaries under the session budget, with \
-     exponential backoff and quarantine after repeated refresh failures."
-  in
-  Arg.(value & flag & info [ "auto-maint" ] ~doc)
-
-let engine_conv =
-  let parse s =
-    match Engine.Exec.engine_of_string s with
-    | Some e -> Ok e
-    | None -> Error (`Msg "expected vector or reference")
-  in
-  let print fmt e =
-    Format.pp_print_string fmt (Engine.Exec.engine_to_string e)
-  in
-  Arg.conv (parse, print)
-
-let engine_arg =
-  let doc =
-    "Executor engine: $(b,vector) (batch-at-a-time over typed column \
-     vectors; the default) or $(b,reference) (the naive differential-testing \
-     oracle — quadratic, testing only). Both produce bag-equal results. \
-     Defaults to $(b,ASTQL_EXEC) from the environment."
-  in
-  Arg.(value & opt (some engine_conv) None & info [ "exec" ] ~docv:"ENGINE" ~doc)
-
-let set_exec_engine = function
-  | None -> ()
-  | Some e -> Engine.Exec.set_engine e
-
-let arm_faults = function
-  | None -> ()
-  | Some spec -> (
-      match Guard.Fault.arm_spec spec with
-      | Ok () -> ()
-      | Error m ->
-          Printf.eprintf "bad --fault spec: %s\n" m;
-          Stdlib.exit 2)
-
-let crash_arg =
-  let doc =
-    "Arm crash-injection points (testing): comma-separated \
-     $(i,point)[:$(i,N)] over $(b,wal_append), $(b,wal_fsync), \
-     $(b,checkpoint_write), $(b,checkpoint_rename) — the Nth hit SIGKILLs \
-     the process at that exact durability step, exactly like kill -9."
-  in
-  let env = Cmd.Env.info "ASTQL_CRASH" ~doc:"Default crash spec." in
-  Arg.(value & opt (some string) None & info [ "crash" ] ~env ~docv:"SPEC" ~doc)
-
-let arm_crashes = function
-  | None -> ()
-  | Some spec -> (
-      match Guard.Fault.arm_crash_spec spec with
-      | Ok () -> ()
-      | Error m ->
-          Printf.eprintf "bad --crash spec: %s\n" m;
-          Stdlib.exit 2)
-
-let durability_arg =
-  let doc =
-    "Durability directory (WAL + checkpoints). On boot the newest valid \
-     checkpoint is loaded and the WAL suffix replayed; afterwards every \
-     committed write statement is logged before it is published, and a \
-     final checkpoint is taken on exit. Unset = in-memory only."
-  in
-  let env =
-    Cmd.Env.info "ASTQL_DURABILITY" ~doc:"Default durability directory."
-  in
-  Arg.(
-    value & opt (some string) None & info [ "durability" ] ~env ~docv:"DIR" ~doc)
-
-let fsync_conv =
-  let parse s =
-    match Durable.Wal.fsync_policy_of_string s with
-    | Ok p -> Ok p
-    | Error m -> Error (`Msg m)
-  in
-  let print fmt p =
-    Format.pp_print_string fmt (Durable.Wal.fsync_policy_to_string p)
-  in
-  Arg.conv (parse, print)
-
-let fsync_arg =
-  let doc =
-    "WAL fsync policy: $(b,always) (every commit), $(b,interval:N) (every \
-     N commits), or $(b,off) (the OS decides)."
-  in
-  let env = Cmd.Env.info "ASTQL_FSYNC" ~doc:"Default WAL fsync policy." in
-  Arg.(
-    value
-    & opt fsync_conv Durable.Wal.Always
-    & info [ "fsync" ] ~env ~docv:"POLICY" ~doc)
-
-let checkpoint_every_arg =
-  let doc =
-    "Fold the WAL into a fresh checkpoint every $(docv) commits (0 = only \
-     at exit)."
-  in
-  let env =
-    Cmd.Env.info "ASTQL_CHECKPOINT_EVERY" ~doc:"Default checkpoint interval."
-  in
-  Arg.(value & opt int 64 & info [ "checkpoint-every" ] ~env ~docv:"N" ~doc)
-
-let scale_arg =
-  let doc = "Demo data scale factor." in
-  Arg.(value & opt int 1 & info [ "scale" ] ~doc)
-
-let files_arg =
-  Arg.(value & pos_all non_dir_file [] & info [] ~docv:"FILE")
-
 let stats_flag =
   let doc = "Print rewrite-planner counters (cache hits/misses, filtered candidates) after execution." in
   Arg.(value & flag & info [ "stats" ] ~doc)
@@ -632,34 +433,13 @@ let health_flag =
   in
   Arg.(value & flag & info [ "health" ] ~doc)
 
-let metrics_out_arg =
-  let doc =
-    "Write the metrics registry (planner, matcher, executor counters and \
-     latency histograms) to $(docv) as JSON on exit. The schema is the one \
-     embedded in the bench harness's BENCH_results.json."
-  in
-  Arg.(value & opt (some string) None & info [ "metrics-out" ] ~docv:"FILE" ~doc)
-
-let dump_metrics = function
-  | None -> ()
-  | Some path ->
-      (try Obs.Metrics.dump path
-       with Sys_error m -> Printf.eprintf "cannot write metrics: %s\n" m)
-
 let run_cmd =
   let doc = "Execute SQL script files." in
-  let run no_rewrite verify fault crash deadline_ms match_budget auto_maint
-      validate exec_engine stats health metrics_out durability fsync
-      checkpoint_every files =
-    arm_faults fault;
-    arm_crashes crash;
-    set_validate validate;
-    set_exec_engine exec_engine;
+  let run knobs no_rewrite verify auto_maint stats health metrics_out durable
+      files =
     let ok =
-      with_session ~rewrite:(not no_rewrite) ~verify
-        ~budget:(limits_of ~deadline_ms ~match_budget)
-        ~auto_maint ~demo:false ~scale:1 ~durability ~fsync ~checkpoint_every
-        (fun session durable ->
+      with_session ~rewrite:(not no_rewrite) ~verify ~knobs ~auto_maint
+        ~demo:false ~scale:1 ~durable (fun session durable ->
           let ok =
             List.fold_left
               (fun ok f ->
@@ -672,58 +452,34 @@ let run_cmd =
           if health then print_health ?durable session;
           ok)
     in
-    dump_metrics metrics_out;
+    Cli.dump_metrics metrics_out;
     if not ok then Stdlib.exit 1
   in
   Cmd.v (Cmd.info "run" ~doc)
     Term.(
-      const run $ rewrite_flag $ verify_arg $ fault_arg $ crash_arg
-      $ deadline_arg $ match_budget_arg $ auto_maint_flag $ validate_arg
-      $ engine_arg $ stats_flag $ health_flag $ metrics_out_arg
-      $ durability_arg $ fsync_arg $ checkpoint_every_arg $ files_arg)
+      const run $ Cli.knobs $ Cli.no_rewrite_flag $ verify_arg
+      $ Cli.auto_maint_flag $ stats_flag $ health_flag $ Cli.metrics_out_arg
+      $ Cli.durable $ Cli.files_arg)
+
+(* The interactive shell, over an empty database or the demo star schema. *)
+let shell_cmd name ~doc ~demo =
+  let run knobs no_rewrite verify auto_maint scale metrics_out durable =
+    with_session ~rewrite:(not no_rewrite) ~verify ~knobs ~auto_maint ~demo
+      ~scale ~durable (fun session durable -> repl ?durable session);
+    Cli.dump_metrics metrics_out
+  in
+  let scale = if demo then Cli.scale_arg else Term.const 1 in
+  Cmd.v (Cmd.info name ~doc)
+    Term.(
+      const run $ Cli.knobs $ Cli.no_rewrite_flag $ verify_arg
+      $ Cli.auto_maint_flag $ scale $ Cli.metrics_out_arg $ Cli.durable)
 
 let repl_cmd =
-  let doc = "Interactive shell over an empty database." in
-  let run no_rewrite verify fault crash deadline_ms match_budget auto_maint
-      validate exec_engine metrics_out durability fsync checkpoint_every =
-    arm_faults fault;
-    arm_crashes crash;
-    set_validate validate;
-    set_exec_engine exec_engine;
-    with_session ~rewrite:(not no_rewrite) ~verify
-      ~budget:(limits_of ~deadline_ms ~match_budget)
-      ~auto_maint ~demo:false ~scale:1 ~durability ~fsync ~checkpoint_every
-      (fun session durable -> repl ?durable session);
-    dump_metrics metrics_out
-  in
-  Cmd.v (Cmd.info "repl" ~doc)
-    Term.(
-      const run $ rewrite_flag $ verify_arg $ fault_arg $ crash_arg
-      $ deadline_arg $ match_budget_arg $ auto_maint_flag $ validate_arg
-      $ engine_arg $ metrics_out_arg $ durability_arg $ fsync_arg
-      $ checkpoint_every_arg)
+  shell_cmd "repl" ~doc:"Interactive shell over an empty database." ~demo:false
 
 let demo_cmd =
-  let doc = "Interactive shell preloaded with the paper's star schema." in
-  let run no_rewrite verify fault crash deadline_ms match_budget auto_maint
-      validate exec_engine scale metrics_out durability fsync checkpoint_every
-      =
-    arm_faults fault;
-    arm_crashes crash;
-    set_validate validate;
-    set_exec_engine exec_engine;
-    with_session ~rewrite:(not no_rewrite) ~verify
-      ~budget:(limits_of ~deadline_ms ~match_budget)
-      ~auto_maint ~demo:true ~scale ~durability ~fsync ~checkpoint_every
-      (fun session durable -> repl ?durable session);
-    dump_metrics metrics_out
-  in
-  Cmd.v (Cmd.info "demo" ~doc)
-    Term.(
-      const run $ rewrite_flag $ verify_arg $ fault_arg $ crash_arg
-      $ deadline_arg $ match_budget_arg $ auto_maint_flag $ validate_arg
-      $ engine_arg $ scale_arg $ metrics_out_arg $ durability_arg $ fsync_arg
-      $ checkpoint_every_arg)
+  shell_cmd "demo"
+    ~doc:"Interactive shell preloaded with the paper's star schema." ~demo:true
 
 let advise_cmd =
   let doc =
@@ -750,7 +506,7 @@ let advise_cmd =
           Printf.printf "CREATE SUMMARY TABLE %s AS %s;\n\n" r.rec_name r.rec_sql)
         recs
   in
-  Cmd.v (Cmd.info "advise" ~doc) Term.(const run $ files_arg)
+  Cmd.v (Cmd.info "advise" ~doc) Term.(const run $ Cli.files_arg)
 
 let strict_flag =
   let doc =
@@ -769,7 +525,8 @@ let lint_cmd =
      on syntax errors, semantic errors or validator violations."
   in
   let run strict files =
-    let session = Mvstore.Session.create ~rewrite:false () in
+    let knobs = Cli.env_knobs () in
+    let session = Mvstore.Session.create ~rewrite:false ~knobs () in
     let warnings = ref 0 in
     let checked = ref 0 in
     let ok =
@@ -781,7 +538,8 @@ let lint_cmd =
             ~on_stmt:(fun stmt ->
               incr stmt_no;
               incr checked;
-              lint_stmt session ~file:f ~stmt_no:!stmt_no ~warnings stmt)
+              lint_stmt session ~prove:knobs.Govern.Knobs.prove ~file:f
+                ~stmt_no:!stmt_no ~warnings stmt)
             ~on_syntax_error:(fun label m ctx ->
               Printf.printf "%s: %s at %s: %s\n" f label ctx m)
             text
@@ -795,7 +553,7 @@ let lint_cmd =
       (if ok then "" else ", errors found");
     if (not ok) || (strict && !warnings > 0) then Stdlib.exit 1
   in
-  Cmd.v (Cmd.info "lint" ~doc) Term.(const run $ strict_flag $ files_arg)
+  Cmd.v (Cmd.info "lint" ~doc) Term.(const run $ strict_flag $ Cli.files_arg)
 
 (* --- connect: remote shell over the wire protocol ----------------------- *)
 
@@ -959,6 +717,7 @@ let () =
   let doc = "answering complex SQL queries using automatic summary tables" in
   let info = Cmd.info "astql" ~version:"1.0.0" ~doc in
   exit
-    (Cmd.eval
-       (Cmd.group info
-          [ run_cmd; repl_cmd; demo_cmd; advise_cmd; lint_cmd; connect_cmd ]))
+    (Cli.exit_code
+       (Cmd.eval
+          (Cmd.group info
+             [ run_cmd; repl_cmd; demo_cmd; advise_cmd; lint_cmd; connect_cmd ])))

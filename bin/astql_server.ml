@@ -11,38 +11,6 @@
    paper's star schema. There is no persistence — this is a serving
    harness for the rewriter, not a storage engine. *)
 
-let limits_of ~deadline_ms ~match_budget =
-  let module B = Govern.Budget in
-  let l = B.default_limits () in
-  let l =
-    match deadline_ms with
-    | None -> l
-    | Some ms -> { l with B.bl_deadline_ms = Some ms }
-  in
-  match match_budget with
-  | None -> l
-  | Some n -> { l with B.bl_matches = Some n }
-
-let arm_faults = function
-  | None -> ()
-  | Some spec -> (
-      match Guard.Fault.arm_spec spec with
-      | Ok () -> ()
-      | Error m ->
-          Printf.eprintf "bad --fault spec: %s\n" m;
-          Stdlib.exit 2)
-
-let arm_crashes = function
-  | None -> ()
-  | Some spec -> (
-      match Guard.Fault.arm_crash_spec spec with
-      | Ok () -> ()
-      | Error m ->
-          Printf.eprintf "bad --crash spec: %s\n" m;
-          Stdlib.exit 2)
-
-let set_validate = function None -> () | Some l -> Lint.Level.set l
-
 let preload session file =
   let text = In_channel.with_open_text file In_channel.input_all in
   match Mvstore.Session.exec_sql session text with
@@ -51,53 +19,30 @@ let preload session file =
       Printf.eprintf "%s: %s\n" file m;
       Stdlib.exit 1
 
-let seed_session ~rewrite ~budget ~auto_maint ~demo ~scale files =
+let seed_session ~rewrite ~knobs ~auto_maint ~demo ~scale files =
   let session =
     if demo then begin
       let params = Workload.Star_schema.scaled scale in
       let tables = Workload.Star_schema.generate params in
       let session =
-        Mvstore.Session.of_tables ~rewrite ~budget ~auto_maint
+        Mvstore.Session.of_tables ~rewrite ~knobs ~auto_maint
           (Workload.Star_schema.catalog ()) tables
       in
       Printf.eprintf "loaded star schema (%d transactions)\n%!"
         (Data.Relation.cardinality (List.assoc "Trans" tables));
       session
     end
-    else Mvstore.Session.create ~rewrite ~budget ~auto_maint ()
+    else Mvstore.Session.create ~rewrite ~knobs ~auto_maint ()
   in
   List.iter (preload session) files;
   session
 
-(* With durability on, the recovered shared state is canonical. Seed data
-   (demo/FILEs) only applies to a database recovered empty — the WAL and
-   checkpoints already hold everything else — and is folded into a
-   checkpoint immediately so it survives a crash before the first commit. *)
-let state_empty shared =
-  let snap = Mvstore.Shared.snapshot shared in
-  Catalog.tables (Engine.Db.catalog snap.Mvstore.Shared.sn_db) = []
-
 let m_ckpt_skipped = Obs.Metrics.counter "durable.checkpoint_skipped"
 
-let serve addr domains queue_depth backlog no_rewrite auto_maint deadline_ms
-    match_budget request_deadline_ms idle_timeout_ms io_timeout_ms
-    degrade_watermark retry_after_ms validate exec_engine fault crash
-    metrics_out demo scale durability fsync checkpoint_every drain_ms files =
-  arm_faults fault;
-  arm_crashes crash;
-  set_validate validate;
-  (* chaos-harness knob: how long an armed wire_stall_read fault stalls *)
-  (match Sys.getenv_opt "ASTQL_WIRE_STALL_MS" with
-  | Some s -> (
-      match float_of_string_opt s with
-      | Some ms when ms >= 0. -> Guard.Fault.set_wire_stall_ms ms
-      | _ -> ())
-  | None -> ());
-  (match exec_engine with
-  | None -> ()
-  | Some e -> Engine.Exec.set_engine e);
+let serve knobs addr domains queue_depth backlog no_rewrite auto_maint
+    request_deadline_ms idle_timeout_ms io_timeout_ms degrade_watermark
+    retry_after_ms metrics_out demo scale durable drain_ms files =
   let rewrite = not no_rewrite in
-  let budget = limits_of ~deadline_ms ~match_budget in
   let cf_addr =
     match Server.Listener.parse_addr addr with
     | Ok a -> a
@@ -106,16 +51,9 @@ let serve addr domains queue_depth backlog no_rewrite auto_maint deadline_ms
         Stdlib.exit 2
   in
   let durable =
-    match durability with
+    match durable with
     | None -> None
-    | Some dir ->
-        let cfg =
-          {
-            Durable.Manager.c_dir = dir;
-            c_fsync = fsync;
-            c_checkpoint_every = checkpoint_every;
-          }
-        in
+    | Some cfg ->
         let mgr, shared, report = Durable.Manager.recover cfg in
         Printf.eprintf "astql-server: durability on — %s\n%!"
           (Durable.Manager.describe_report report);
@@ -125,12 +63,16 @@ let serve addr domains queue_depth backlog no_rewrite auto_maint deadline_ms
     match durable with
     | None ->
         Mvstore.Session.share
-          (seed_session ~rewrite ~budget ~auto_maint ~demo ~scale files)
+          (seed_session ~rewrite ~knobs ~auto_maint ~demo ~scale files)
     | Some (mgr, shared, _) ->
+        (* seed data (demo/FILEs) only applies to a database recovered
+           empty — the WAL and checkpoints already hold everything else —
+           and is folded into a checkpoint immediately so it survives a
+           crash before the first commit *)
         if demo || files <> [] then
-          if state_empty shared then begin
+          if Cli.state_empty shared then begin
             let seed =
-              seed_session ~rewrite ~budget ~auto_maint ~demo ~scale files
+              seed_session ~rewrite ~knobs ~auto_maint ~demo ~scale files
             in
             Mvstore.Shared.with_write shared (fun _ ->
                 ( {
@@ -151,7 +93,7 @@ let serve addr domains queue_depth backlog no_rewrite auto_maint deadline_ms
     match durable with Some (_, _, r) -> r.Durable.Manager.r_quarantined | None -> []
   in
   let mk_session () =
-    let s = Mvstore.Session.attach ~rewrite ~budget ~auto_maint shared in
+    let s = Mvstore.Session.attach ~rewrite ~knobs ~auto_maint shared in
     (match durable with
     | Some (mgr, _, _) -> Durable.Manager.bind mgr s
     | None -> ());
@@ -229,11 +171,7 @@ let serve addr domains queue_depth backlog no_rewrite auto_maint deadline_ms
           (Durable.Manager.checkpoint_lsn mgr)
       end;
       Durable.Manager.close mgr);
-  match metrics_out with
-  | None -> ()
-  | Some path -> (
-      try Obs.Metrics.dump path
-      with Sys_error m -> Printf.eprintf "cannot write metrics: %s\n" m)
+  Cli.dump_metrics metrics_out
 
 open Cmdliner
 
@@ -264,25 +202,6 @@ let queue_depth_arg =
 let backlog_arg =
   let doc = "listen(2) backlog for connection bursts." in
   Arg.(value & opt int 64 & info [ "backlog" ] ~docv:"N" ~doc)
-
-let no_rewrite_flag =
-  let doc = "Disable transparent summary-table rewriting." in
-  Arg.(value & flag & info [ "no-rewrite" ] ~doc)
-
-let auto_maint_flag =
-  let doc =
-    "Self-healing maintenance: auto-refresh summary tables that DML left \
-     stale, at statement boundaries."
-  in
-  Arg.(value & flag & info [ "auto-maint" ] ~doc)
-
-let deadline_arg =
-  let doc = "Per-statement wall-clock deadline in milliseconds." in
-  Arg.(value & opt (some float) None & info [ "deadline-ms" ] ~docv:"MS" ~doc)
-
-let match_budget_arg =
-  let doc = "Per-statement cap on match-function invocations." in
-  Arg.(value & opt (some int) None & info [ "match-budget" ] ~docv:"N" ~doc)
 
 let request_deadline_arg =
   let doc =
@@ -338,102 +257,6 @@ let retry_after_arg =
   let env = Cmd.Env.info "ASTQL_RETRY_AFTER_MS" ~doc:"Default backoff hint." in
   Arg.(value & opt int 50 & info [ "retry-after-ms" ] ~env ~docv:"MS" ~doc)
 
-let validate_conv =
-  let parse s =
-    match Lint.Level.of_string s with
-    | Some l -> Ok l
-    | None -> Error (`Msg "expected 0|off, 1|final-plan, or 2|every-candidate")
-  in
-  let print fmt l = Format.pp_print_string fmt (Lint.Level.to_string l) in
-  Arg.conv (parse, print)
-
-let validate_arg =
-  let doc = "Static IR validation level (see astql --help)." in
-  Arg.(
-    value
-    & opt (some validate_conv) None
-    & info [ "validate" ] ~docv:"LEVEL" ~doc)
-
-let engine_conv =
-  let parse s =
-    match Engine.Exec.engine_of_string s with
-    | Some e -> Ok e
-    | None -> Error (`Msg "expected vector or reference")
-  in
-  let print fmt e =
-    Format.pp_print_string fmt (Engine.Exec.engine_to_string e)
-  in
-  Arg.conv (parse, print)
-
-let engine_arg =
-  let doc =
-    "Executor engine: $(b,vector) or $(b,reference) (see astql --help). \
-     Defaults to $(b,ASTQL_EXEC) from the environment."
-  in
-  Arg.(value & opt (some engine_conv) None & info [ "exec" ] ~docv:"ENGINE" ~doc)
-
-let fault_arg =
-  let doc =
-    "Arm deterministic fault-injection points (testing): comma-separated \
-     $(i,point)[:$(i,N)] — point names include $(b,accept), which crashes \
-     the Nth accepted connection's handler to exercise containment."
-  in
-  Arg.(value & opt (some string) None & info [ "fault" ] ~docv:"SPEC" ~doc)
-
-let crash_arg =
-  let doc =
-    "Arm crash-injection points (testing): comma-separated \
-     $(i,point)[:$(i,N)] over $(b,wal_append), $(b,wal_fsync), \
-     $(b,checkpoint_write), $(b,checkpoint_rename) — the Nth hit SIGKILLs \
-     the process at that exact durability step, exactly like kill -9."
-  in
-  let env = Cmd.Env.info "ASTQL_CRASH" ~doc:"Default crash spec." in
-  Arg.(value & opt (some string) None & info [ "crash" ] ~env ~docv:"SPEC" ~doc)
-
-let durability_arg =
-  let doc =
-    "Durability directory (WAL + checkpoints). On boot the newest valid \
-     checkpoint is loaded and the WAL suffix replayed; afterwards every \
-     committed write statement is logged before it is published. Unset = \
-     in-memory only."
-  in
-  let env = Cmd.Env.info "ASTQL_DURABILITY" ~doc:"Default durability directory." in
-  Arg.(
-    value & opt (some string) None & info [ "durability" ] ~env ~docv:"DIR" ~doc)
-
-let fsync_conv =
-  let parse s =
-    match Durable.Wal.fsync_policy_of_string s with
-    | Ok p -> Ok p
-    | Error m -> Error (`Msg m)
-  in
-  let print fmt p =
-    Format.pp_print_string fmt (Durable.Wal.fsync_policy_to_string p)
-  in
-  Arg.conv (parse, print)
-
-let fsync_arg =
-  let doc =
-    "WAL fsync policy: $(b,always) (every commit), $(b,interval:N) (every \
-     N commits), or $(b,off) (the OS decides)."
-  in
-  let env = Cmd.Env.info "ASTQL_FSYNC" ~doc:"Default WAL fsync policy." in
-  Arg.(
-    value
-    & opt fsync_conv Durable.Wal.Always
-    & info [ "fsync" ] ~env ~docv:"POLICY" ~doc)
-
-let checkpoint_every_arg =
-  let doc =
-    "Fold the WAL into a fresh checkpoint every $(docv) commits (0 = only \
-     at shutdown)."
-  in
-  let env =
-    Cmd.Env.info "ASTQL_CHECKPOINT_EVERY" ~doc:"Default checkpoint interval."
-  in
-  Arg.(
-    value & opt int 64 & info [ "checkpoint-every" ] ~env ~docv:"N" ~doc)
-
 let drain_ms_arg =
   let doc =
     "On SIGTERM/SIGINT, give requests already executing up to $(docv) \
@@ -442,36 +265,21 @@ let drain_ms_arg =
   let env = Cmd.Env.info "ASTQL_DRAIN_MS" ~doc:"Default drain bound." in
   Arg.(value & opt int 2000 & info [ "drain-ms" ] ~env ~docv:"MS" ~doc)
 
-let metrics_out_arg =
-  let doc =
-    "Write the metrics registry (including the $(b,server.*) serving \
-     metrics) to $(docv) as JSON on shutdown."
-  in
-  Arg.(value & opt (some string) None & info [ "metrics-out" ] ~docv:"FILE" ~doc)
-
 let demo_flag =
   let doc = "Preload the paper's star schema and generated data." in
   Arg.(value & flag & info [ "demo" ] ~doc)
-
-let scale_arg =
-  let doc = "Demo data scale factor." in
-  Arg.(value & opt int 1 & info [ "scale" ] ~doc)
-
-let files_arg =
-  Arg.(value & pos_all non_dir_file [] & info [] ~docv:"FILE")
 
 let () =
   let doc = "serve astql over a socket with a pool of domains" in
   let info = Cmd.info "astql-server" ~version:"1.0.0" ~doc in
   exit
-    (Cmd.eval
-       (Cmd.v info
-          Term.(
-            const serve $ addr_arg $ domains_arg $ queue_depth_arg
-            $ backlog_arg $ no_rewrite_flag $ auto_maint_flag $ deadline_arg
-            $ match_budget_arg $ request_deadline_arg $ idle_timeout_arg
-            $ io_timeout_arg $ degrade_watermark_arg $ retry_after_arg
-            $ validate_arg $ engine_arg $ fault_arg
-            $ crash_arg $ metrics_out_arg $ demo_flag $ scale_arg
-            $ durability_arg $ fsync_arg $ checkpoint_every_arg $ drain_ms_arg
-            $ files_arg)))
+    (Cli.exit_code
+       (Cmd.eval
+          (Cmd.v info
+             Term.(
+               const serve $ Cli.knobs $ addr_arg $ domains_arg
+               $ queue_depth_arg $ backlog_arg $ Cli.no_rewrite_flag
+               $ Cli.auto_maint_flag $ request_deadline_arg $ idle_timeout_arg
+               $ io_timeout_arg $ degrade_watermark_arg $ retry_after_arg
+               $ Cli.metrics_out_arg $ demo_flag $ Cli.scale_arg $ Cli.durable
+               $ drain_ms_arg $ Cli.files_arg))))

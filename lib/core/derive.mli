@@ -12,8 +12,10 @@
     subsumer outputs [r_outs]: equal (canonicalized, normalized)
     subexpressions become [Below] references, rejoin leaves become
     [Rejoin], constants stay. [None] when an [Rin] leaf or aggregate
-    remains uncovered. *)
+    remains uncovered. [knobs] supplies the equivalence-class and
+    greedy-derivation ablation switches. *)
 val scalar :
+  knobs:Govern.Knobs.t ->
   equiv:Mtypes.txref Equiv.t ->
   r_outs:(string * Mtypes.txref Qgm.Expr.t) list ->
   Mtypes.txref Qgm.Expr.t ->

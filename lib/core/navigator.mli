@@ -19,11 +19,15 @@ type site = {
     a [navigate] span with per-pair match spans and typed rejection reasons
     is recorded in it (diagnostics for EXPLAIN REWRITE and [\trace]).
     When [budget] is given, every match-function invocation is metered
-    against it and may raise {!Govern.Budget.Budget_exhausted}. *)
+    against it and may raise {!Govern.Budget.Budget_exhausted}. [knobs]
+    (default {!Govern.Knobs.process}) supplies the ablation switches and
+    the prover level the match patterns read. *)
 val find_matches :
-  ?trace:Obs.Trace.t -> ?budget:Govern.Budget.t -> Catalog.t ->
-  query:Qgm.Graph.t -> ast:Qgm.Graph.t ->
+  ?trace:Obs.Trace.t -> ?budget:Govern.Budget.t -> ?knobs:Govern.Knobs.t ->
+  Catalog.t -> query:Qgm.Graph.t -> ast:Qgm.Graph.t ->
   site list
 
 (** Convenience: does any query box match the AST root? *)
-val matches : Catalog.t -> query:Qgm.Graph.t -> ast:Qgm.Graph.t -> bool
+val matches :
+  ?knobs:Govern.Knobs.t -> Catalog.t -> query:Qgm.Graph.t -> ast:Qgm.Graph.t ->
+  bool

@@ -213,7 +213,7 @@ let txref_ty ctx (r_sel : B.select_body) (asg : Mctx.assignment)
    leaves the match usable but uncertified (runtime verification applies). *)
 let certify_select_flat ctx asg ~equiv ~r_outs ~r_preds_canon ~strong_canon
     ~comp_preds (r_sel : B.select_body) =
-  if not (Prove.Level.rewrite_on ()) then
+  if ctx.Mctx.knobs.prove = Govern.Knobs.Prove_off then
     Prove.Unknown "prover off (ASTQL_PROVE=0)"
   else if Govern.Budget.deadline_spent ctx.Mctx.budget then
     Prove.Unknown "planning deadline spent"
@@ -461,7 +461,7 @@ and select_select_flat ctx asg (e_sel : B.select_body) (r_sel : B.select_body)
     =
   pattern ctx "4.1.1/4.2.3 SELECT compensation over matched children";
   let equiv =
-    if !Config.equivalence_classes then
+    if ctx.Mctx.knobs.equivalence_classes then
       Equiv.of_preds (List.map (E.map_col (fun q -> M.Rin q)) r_sel.B.sel_preds)
     else Equiv.of_equalities []
   in
@@ -498,8 +498,8 @@ and select_select_flat ctx asg (e_sel : B.select_body) (r_sel : B.select_body)
     let tyo = txref_ty ctx r_sel asg in
     let pstate =
       if
-        !Config.predicate_subsumption
-        && Prove.Level.rewrite_on ()
+        ctx.Mctx.knobs.predicate_subsumption
+        && ctx.Mctx.knobs.prove <> Govern.Knobs.Prove_off
         && not (Govern.Budget.deadline_spent ctx.Mctx.budget)
       then Some (Prove.state_of ~ty:(Prove.key_ty ~col:tyo) strong_canon)
       else None
@@ -510,8 +510,9 @@ and select_select_flat ctx asg (e_sel : B.select_body) (r_sel : B.select_body)
           List.exists
             (fun pe ->
                pr = pe
-               || (!Config.predicate_subsumption
-                  && Subsume.subsumes ~ty:tyo ~weak:pr ~strong:pe))
+               || (ctx.Mctx.knobs.predicate_subsumption
+                  && Subsume.subsumes ~prove:ctx.Mctx.knobs.prove ~ty:tyo
+                       ~weak:pr ~strong:pe))
             strong_canon
           ||
           match pstate with
@@ -531,7 +532,7 @@ and select_select_flat ctx asg (e_sel : B.select_body) (r_sel : B.select_body)
       List.iter
         (fun t ->
           if not (List.mem (canon_tx equiv t) r_preds_canon) then
-            match Derive.scalar ~equiv ~r_outs t with
+            match Derive.scalar ~knobs:ctx.Mctx.knobs ~equiv ~r_outs t with
             | Some d -> comp_preds := !comp_preds @ [ d ]
             | None ->
                 Mctx.reject ctx (Obs.Trace.Pred_not_derivable (show_tx t));
@@ -549,7 +550,9 @@ and select_select_flat ctx asg (e_sel : B.select_body) (r_sel : B.select_body)
               match Translate.to_subsumer asg e with
               | None -> None
               | Some t ->
-                  Option.map (fun d -> (n, d)) (Derive.scalar ~equiv ~r_outs t))
+                  Option.map
+                    (fun d -> (n, d))
+                    (Derive.scalar ~knobs:ctx.Mctx.knobs ~equiv ~r_outs t))
             e_sel.B.sel_outs
         in
         if outs = [] && e_sel.B.sel_outs <> [] then begin
@@ -608,7 +611,7 @@ and select_select_grouped ctx asg (e_sel : B.select_body)
   match asg.Mctx.pairs with
   | [ (qe, rq, M.Comp levels) ] -> (
       let equiv =
-        if !Config.equivalence_classes then
+        if ctx.Mctx.knobs.equivalence_classes then
           Equiv.of_preds
             (List.map (E.map_col (fun q -> M.Rin q)) r_sel.B.sel_preds)
         else Equiv.of_equalities []
@@ -647,9 +650,9 @@ and select_select_grouped ctx asg (e_sel : B.select_body)
               List.exists
                 (fun pe ->
                pr = pe
-               || (!Config.predicate_subsumption
-                  && Subsume.subsumes ~ty:(txref_ty ctx r_sel asg) ~weak:pr
-                       ~strong:pe))
+               || (ctx.Mctx.knobs.predicate_subsumption
+                  && Subsume.subsumes ~prove:ctx.Mctx.knobs.prove
+                       ~ty:(txref_ty ctx r_sel asg) ~weak:pr ~strong:pe))
                 strong_canon)
             r_preds_canon
         in
@@ -868,7 +871,7 @@ and match_group_group ctx (e_grp : B.group_body) (r_grp : B.group_body) =
           | None -> ()
           | Some _ ->
               set_proof ctx
-                (if not (Prove.Level.rewrite_on ()) then
+                (if ctx.Mctx.knobs.prove = Govern.Knobs.Prove_off then
                    Prove.Unknown "prover off (ASTQL_PROVE=0)"
                  else
                    let both_simple =
@@ -986,7 +989,7 @@ and match_group_nested ctx ~levels ~(e_grp : B.group_body)
 and match_group_spec ctx ~keys ~sets ~simple ~aggs ~pulled_preds ~rejoins
     ~(r_grp : B.group_body) =
   let equiv =
-    if !Config.equivalence_classes then Equiv.of_preds pulled_preds
+    if ctx.Mctx.knobs.equivalence_classes then Equiv.of_preds pulled_preds
     else Equiv.of_equalities []
   in
   let r_sets = B.grouping_sets r_grp.B.grp_grouping in
@@ -1304,7 +1307,7 @@ and regroup_compensation ctx ~keys ~regroup_grouping ~aggs ~equiv ~r_sets
       r_sets
   in
   let smallest =
-    if !Config.smallest_cuboid then
+    if ctx.Mctx.knobs.smallest_cuboid then
       List.sort
         (fun (a, _, _, _) (b, _, _, _) ->
           compare (List.length a) (List.length b))

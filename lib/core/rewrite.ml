@@ -193,15 +193,7 @@ let apply ~query ~target ~result ~mv_table ~mv_cols =
         let g, id = G.add_box g body in
         install g id (B.output_cols (G.box g id)) rest
   in
-  let g' = install g mv_box mv_cols levels in
-  (* When the validator checks every candidate (ASTQL_VALIDATE=2), an
-     armed Corrupt fault strikes *here*, at the translate/compensate
-     product, and must be caught statically by Lint.Validate. At lower
-     levels the fault stays armed for the runtime site in Session, where
-     the verify oracle catches it dynamically. *)
-  if Lint.Level.candidates_on () && Guard.Fault.fire Guard.Fault.Corrupt then
-    corrupt_compensation g' target
-  else g'
+  install g mv_box mv_cols levels
 
 (* ------------------------------------------------------------------ *)
 (* Cost-based routing                                                  *)
@@ -242,17 +234,18 @@ let rw_lint_rejects = Obs.Metrics.counter "lint.candidate_rejects"
    planner's containment path classifies it (stage Validate) and
    quarantines the (fingerprint x summary x version) pair. *)
 let validate_candidate ?trace cat mv_name g' =
-  if Lint.Level.candidates_on () then
-    match Lint.Validate.check ~cat g' with
-    | [] -> ()
-    | vs ->
-        Obs.Metrics.incr rw_lint_rejects;
-        let msg = Lint.Validate.summary vs in
-        Obs.Trace.reject trace ~kind:"validate" ~label:mv_name
-          (Obs.Trace.Ir_invalid msg);
-        raise (Guard.Error.Invalid_ir msg)
+  match Lint.Validate.check ~cat g' with
+  | [] -> ()
+  | vs ->
+      Obs.Metrics.incr rw_lint_rejects;
+      let msg = Lint.Validate.summary vs in
+      Obs.Trace.reject trace ~kind:"validate" ~label:mv_name
+        (Obs.Trace.Ir_invalid msg);
+      raise (Guard.Error.Invalid_ir msg)
 
-let rewrite_candidates ?on_error ?trace ?budget cat g mvs =
+let rewrite_candidates ?on_error ?trace ?budget ~(knobs : Govern.Knobs.t) cat g
+    mvs =
+  let every_candidate = knobs.validate = Govern.Knobs.Every_candidate in
   List.concat_map
     (fun mv ->
       Obs.Trace.with_span trace ~kind:"candidate" ~label:mv.mv_name
@@ -264,7 +257,7 @@ let rewrite_candidates ?on_error ?trace ?budget cat g mvs =
         (fun () ->
           guarded on_error mv.mv_name [] (fun () ->
               let sites =
-                Navigator.find_matches ?trace ?budget cat ~query:g
+                Navigator.find_matches ?trace ?budget ~knobs cat ~query:g
                   ~ast:mv.mv_graph
               in
               List.map
@@ -280,7 +273,22 @@ let rewrite_candidates ?on_error ?trace ?budget cat g mvs =
                         apply ~query:g ~target:site_box ~result:site_result
                           ~mv_table:mv.mv_name ~mv_cols)
                   in
-                  validate_candidate ?trace cat mv.mv_name g';
+                  (* When the validator checks every candidate, an armed
+                     Corrupt fault strikes here, at the translate/compensate
+                     product, and must be caught statically. Otherwise the
+                     fault stays armed for the runtime site in Session,
+                     where the verify oracle catches it dynamically. *)
+                  let g' =
+                    if not every_candidate then g'
+                    else
+                      let g' =
+                        if Guard.Fault.fire Guard.Fault.Corrupt then
+                          corrupt_compensation g' site_box
+                        else g'
+                      in
+                      validate_candidate ?trace cat mv.mv_name g';
+                      g'
+                  in
                   ( g',
                     {
                       used_mv = mv.mv_name;
@@ -294,7 +302,8 @@ let rewrite_candidates ?on_error ?trace ?budget cat g mvs =
                 sites)))
     mvs
 
-let best ~cat ?on_error ?trace ?budget g mvs =
+let best ~cat ?on_error ?trace ?budget ?(knobs = Govern.Knobs.process ()) g
+    mvs =
   (* Iterative multi-AST routing (section 7): keep applying the cheapest
      strictly-improving rewrite. The same AST may serve several query
      blocks (e.g. two FROM subqueries); termination is guaranteed because
@@ -306,7 +315,9 @@ let best ~cat ?on_error ?trace ?budget g mvs =
      error. The reason stays recorded on the budget for the planner. *)
   Obs.Metrics.time rw_route_ms (fun () ->
       let round g =
-        let candidates = rewrite_candidates ?on_error ?trace ?budget cat g mvs in
+        let candidates =
+          rewrite_candidates ?on_error ?trace ?budget ~knobs cat g mvs
+        in
         Obs.Metrics.add rw_candidates (List.length candidates);
         let current = Cost.graph_cost cat g in
         let better =

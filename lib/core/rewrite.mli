@@ -59,12 +59,17 @@ val apply :
     budget runs out mid-routing the best rewrite found so far is returned
     (or [None] if none was reached) — the exhaustion reason stays recorded
     on the budget ({!Govern.Budget.exhausted}) so the caller can mark the
-    decision degraded. [Budget_exhausted] never escapes [best]. *)
+    decision degraded. [Budget_exhausted] never escapes [best].
+
+    [knobs] (default {!Govern.Knobs.process}) reaches the match patterns
+    through the matching context; at [Every_candidate] validation each
+    candidate graph is checked by {!Lint.Validate} before it is costed. *)
 val best :
   cat:Catalog.t ->
   ?on_error:(string -> exn -> unit) ->
   ?trace:Obs.Trace.t ->
   ?budget:Govern.Budget.t ->
+  ?knobs:Govern.Knobs.t ->
   Qgm.Graph.t ->
   mv list ->
   (Qgm.Graph.t * step list) option

@@ -28,7 +28,7 @@ let norm_bound ty = function
 
 let no_ty _ = None
 
-let subsumes ~ty ~weak ~strong =
+let subsumes ~prove ~ty ~weak ~strong =
   (* lift the column oracle to (sub)expressions once *)
   let ety = Prove.key_ty ~col:ty in
   let weak = E.normalize weak and strong = E.normalize strong in
@@ -48,6 +48,6 @@ let subsumes ~ty ~weak ~strong =
       | _ -> false
     in
     single_bound ()
-    || (Prove.Level.rewrite_on ()
+    || (prove <> Govern.Knobs.Prove_off
        && Prove.is_proved
             (Prove.subsumed ~ty:ety ~weak:[ weak ] ~strong:[ strong ]))

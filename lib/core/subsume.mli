@@ -7,15 +7,17 @@
 (** The unknown-type oracle: no bound normalization. *)
 val no_ty : 'c -> Data.Value.ty option
 
-(** [subsumes ~ty ~weak ~strong] — does [weak] subsume [strong]? Recognizes
-    syntactic equality (after normalization), constant relaxation of
-    comparisons over the same expression, and — when [ASTQL_PROVE] is on —
-    anything the static prover can certify ([weak] entailed by [strong] as
-    single-predicate conjunctions, e.g. an equality inside a range).
+(** [subsumes ~prove ~ty ~weak ~strong] — does [weak] subsume [strong]?
+    Recognizes syntactic equality (after normalization), constant
+    relaxation of comparisons over the same expression, and — when [prove]
+    is not [Prove_off] — anything the static prover can certify ([weak]
+    entailed by [strong] as single-predicate conjunctions, e.g. an equality
+    inside a range).
 
     [ty] is a column-type oracle; when it identifies an INT or DATE typed
     column, strict and non-strict bounds on adjacent points compare equal
     ([x > 9] vs [x >= 10]). Pass {!no_ty} when types are unavailable. *)
 val subsumes :
+  prove:Govern.Knobs.prove ->
   ty:('c -> Data.Value.ty option) ->
   weak:'c Qgm.Expr.t -> strong:'c Qgm.Expr.t -> bool

@@ -39,11 +39,6 @@ type config = {
 
 val default_config : string -> config
 
-(** [ASTQL_DURABILITY] (directory; unset = durability off), [ASTQL_FSYNC]
-    (see {!Wal.fsync_policy_of_string}, default always) and
-    [ASTQL_CHECKPOINT_EVERY] (default 64). *)
-val config_of_env : unit -> (config option, string) result
-
 type report = {
   r_ckpt_lsn : int option;     (** checkpoint recovered from, if any *)
   r_ckpt_skipped : int;        (** invalid checkpoint files skipped over *)

@@ -5,7 +5,7 @@
      which runs every box body;
    - [Reference]: the naive oracle's operators ({!Reference}), runnable
      under the same memoized recursion so the full test suite can exercise
-     it via [ASTQL_EXEC=reference].
+     it via [ASTQL_EXEC=reference] or a session's knobs.
 
    The recursion skeleton ([run_box_memo]) is engine-agnostic: one memo
    slot per box, deadline checks and row metering at operator boundaries,
@@ -18,36 +18,14 @@ module R = Data.Relation
 module B = Qgm.Box
 module G = Qgm.Graph
 module C = Column
+module K = Govern.Knobs
 
 (* ------------------------------------------------------------------ *)
 (* Engine selection                                                    *)
 (* ------------------------------------------------------------------ *)
 
-type engine = Vector | Reference
-
-let engine_of_string s =
-  match String.lowercase_ascii (String.trim s) with
-  | "vector" | "vectorized" -> Some Vector
-  | "reference" | "ref" -> Some Reference
-  | _ -> None
-
-let engine_to_string = function Vector -> "vector" | Reference -> "reference"
-
-let default_engine =
-  (* unknown values fall back to the default rather than failing startup:
-     the knob is a perf switch, not a correctness switch *)
-  match Option.bind (Sys.getenv_opt "ASTQL_EXEC") engine_of_string with
-  | Some e -> e
-  | None -> Vector
-
-let current_engine = Atomic.make default_engine
-let engine () = Atomic.get current_engine
-let set_engine e = Atomic.set current_engine e
-
-let with_engine e f =
-  let saved = Atomic.get current_engine in
-  Atomic.set current_engine e;
-  Fun.protect ~finally:(fun () -> Atomic.set current_engine saved) f
+let engine () = (K.process ()).K.engine
+let engine_to_string = K.engine_to_string
 
 (* ------------------------------------------------------------------ *)
 (* Memoized recursion over boxes                                       *)
@@ -106,7 +84,7 @@ let fusable g parents id =
       | _ -> false)
   | _ -> false
 
-let rec run_box_memo ?budget ~parents ~defer db g memo id : slot =
+let rec run_box_memo ?budget ~engine ~parents ~defer db g memo id : slot =
   match Hashtbl.find_opt memo id with
   | Some s ->
       Obs.Metrics.incr x_memo_hits;
@@ -122,7 +100,8 @@ let rec run_box_memo ?budget ~parents ~defer db g memo id : slot =
         let t = Obs.Metrics.now_ms () in
         Fun.protect
           ~finally:(fun () -> nested := !nested +. (Obs.Metrics.now_ms () -. t))
-          (fun () -> run_box_memo ?budget ~parents ~defer db g memo q.B.q_box)
+          (fun () ->
+            run_box_memo ?budget ~engine ~parents ~defer db g memo q.B.q_box)
       in
       let self_time h f =
         Fun.protect
@@ -138,30 +117,30 @@ let rec run_box_memo ?budget ~parents ~defer db g memo id : slot =
         | s -> Vexec.Batch (slot_batch s)
       in
       let s =
-        match (engine (), (G.box g id).B.body) with
-        | Vector, B.Base bt ->
+        match (engine, (G.box g id).B.body) with
+        | K.Vector, B.Base bt ->
             self_time x_base_ms (fun () -> Bat (vex (fun () -> Vexec.exec_base db bt)))
-        | Reference, B.Base { bt_table; bt_cols } ->
+        | K.Reference, B.Base { bt_table; bt_cols } ->
             self_time x_base_ms (fun () ->
                 Rel (R.project (Db.get_exn db bt_table) bt_cols))
-        | Vector, B.Select sel ->
+        | K.Vector, B.Select sel ->
             self_time x_select_ms (fun () ->
                 if defer && fusable g parents id then
                   Fil (vex (fun () -> Vexec.exec_select_filtered ~child:child_batch sel))
                 else Bat (vex (fun () -> Vexec.exec_select ~child:child_batch sel)))
-        | Reference, B.Select sel ->
+        | K.Reference, B.Select sel ->
             self_time x_select_ms (fun () ->
                 Rel (refx (fun () -> Reference.eval_select ~child:child_rel sel)))
-        | Vector, B.Group grp ->
+        | K.Vector, B.Group grp ->
             self_time x_group_ms (fun () ->
                 Bat (vex (fun () -> Vexec.exec_group ~child:child_input grp)))
-        | Reference, B.Group grp ->
+        | K.Reference, B.Group grp ->
             self_time x_group_ms (fun () ->
                 Rel (refx (fun () -> Reference.eval_group ~child:child_rel grp)))
-        | Vector, B.Union u ->
+        | K.Vector, B.Union u ->
             self_time x_union_ms (fun () ->
                 Bat (vex (fun () -> Vexec.exec_union ~child:child_batch u)))
-        | Reference, B.Union u ->
+        | K.Reference, B.Union u ->
             self_time x_union_ms (fun () ->
                 Rel (refx (fun () -> Reference.eval_union ~child:child_rel u)))
       in
@@ -172,20 +151,20 @@ let rec run_box_memo ?budget ~parents ~defer db g memo id : slot =
 
 (* ------------------------------------------------------------------ *)
 
-let run_box ?budget db g id =
+let run_box ?budget ?(engine = engine ()) db g id =
   (* arm the scratch arena for this run: every kernel buffer allocated
      below dies when the memo does, so the outermost bracket recycles the
      chunks wholesale (results are boxed relations by then) *)
   C.scratch_begin ();
   Fun.protect ~finally:C.scratch_end @@ fun () ->
   slot_rel
-    (run_box_memo ?budget ~parents:(lazy (G.parents g)) ~defer:false db g
-       (Hashtbl.create 16) id)
+    (run_box_memo ?budget ~engine ~parents:(lazy (G.parents g)) ~defer:false db
+       g (Hashtbl.create 16) id)
 
-let run ?budget db g =
+let run ?budget ?engine db g =
   Obs.Metrics.incr x_runs;
   Obs.Metrics.time x_run_ms @@ fun () ->
-  let rel = run_box ?budget db g (G.root g) in
+  let rel = run_box ?budget ?engine db g (G.root g) in
   let { G.order_by; limit } = G.presentation g in
   let rel =
     if order_by = [] then rel

@@ -15,7 +15,7 @@ val run : Db.t -> Qgm.Graph.t -> Data.Relation.t
 
 (** The oracle's operators, parameterized over child resolution so
     {!Exec}'s dispatcher can run them per box (with memoized children)
-    under [ASTQL_EXEC=reference]. [run] itself stays the plain
+    under the [Reference] engine knob. [run] itself stays the plain
     whole-plan recursion described above. *)
 
 val eval_select :

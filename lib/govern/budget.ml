@@ -25,21 +25,6 @@ let limits ?deadline_ms ?matches ?candidates ?rows () =
   { bl_deadline_ms = deadline_ms; bl_matches = matches;
     bl_candidates = candidates; bl_rows = rows }
 
-let env_float name =
-  match Sys.getenv_opt name with
-  | None | Some "" -> None
-  | Some s -> float_of_string_opt s
-
-let env_int name =
-  match Sys.getenv_opt name with
-  | None | Some "" -> None
-  | Some s -> int_of_string_opt s
-
-let default_limits () =
-  { unlimited with
-    bl_deadline_ms = env_float "ASTQL_DEADLINE_MS";
-    bl_matches = env_int "ASTQL_MATCH_BUDGET" }
-
 let describe l =
   let parts =
     List.filter_map Fun.id

@@ -40,11 +40,6 @@ val limits :
   ?deadline_ms:float -> ?matches:int -> ?candidates:int -> ?rows:int ->
   unit -> limits
 
-val default_limits : unit -> limits
-(** {!unlimited} overridden by the environment: [ASTQL_DEADLINE_MS]
-    (float, milliseconds) and [ASTQL_MATCH_BUDGET] (int).  Read on every
-    call so tests can adjust the environment. *)
-
 val describe : limits -> string
 (** One-line human rendering, e.g. ["deadline=10ms matches=5000"];
     ["unlimited"] when nothing is set. *)

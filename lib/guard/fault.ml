@@ -163,9 +163,6 @@ let arm_spec spec =
     (Ok ())
     (String.split_on_char ',' spec)
 
-let seed_of_env () =
-  Option.bind (Sys.getenv_opt "ASTQL_FAULT_SEED") int_of_string_opt
-
 (* ---------------- crash injection ---------------- *)
 
 (* Crash points simulate a power-cut at an exact durability step: when an
@@ -236,11 +233,6 @@ let arm_crash_spec spec =
     (fun acc item -> match acc with Error _ -> acc | Ok () -> arm_one item)
     (Ok ())
     (String.split_on_char ',' spec)
-
-let arm_crash_env () =
-  match Sys.getenv_opt "ASTQL_CRASH" with
-  | None | Some "" -> Ok ()
-  | Some spec -> arm_crash_spec spec
 
 (* ---------------- result corruption ---------------- *)
 

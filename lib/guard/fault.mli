@@ -70,10 +70,6 @@ val wire_stall_ms : float ref
 
 val set_wire_stall_ms : float -> unit
 
-(** [ASTQL_FAULT_SEED] from the environment, when set and numeric (used by
-    the randomized fault-injection tests and the CI matrix job). *)
-val seed_of_env : unit -> int option
-
 (** {1 Crash injection}
 
     Crash points simulate [kill -9] at an exact durability step: when an
@@ -103,9 +99,6 @@ val crash_hit : point -> unit
 (** Parse and arm a crash spec like ["wal_append:3,checkpoint_rename"]
     (missing count = 1). *)
 val arm_crash_spec : string -> (unit, string) result
-
-(** Arm from the [ASTQL_CRASH] environment variable, when set. *)
-val arm_crash_env : unit -> (unit, string) result
 
 (** A minimal always-detectable perturbation of one value (simulates a
     compensation deriving an aggregate column incorrectly). *)

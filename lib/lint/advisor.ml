@@ -100,7 +100,8 @@ let col_nullable cat g box_id col =
   in
   chase box_id col
 
-let lint ?(existing = []) ?incremental cat g =
+let lint ?(existing = []) ?incremental ?(prove = (Govern.Knobs.process ()).prove)
+    cat g =
   let diags = ref [] in
   let push code slug fmt =
     Format.kasprintf
@@ -166,9 +167,9 @@ let lint ?(existing = []) ?incremental cat g =
                    without a grouping id (section 5.1)"
                   c)
             union));
-  (* L105: same footprint and grouping as an existing summary. At
-     ASTQL_PROVE=2 (define-time proving) the prover refines the verdict:
-     two summaries whose restriction ranges are provably disjoint are
+  (* L105: same footprint and grouping as an existing summary. With
+     define-time proving ([prove = At_define]) the prover refines the
+     verdict: two summaries whose restriction ranges are provably disjoint are
      complementary shards of one logical summary — not redundant, so no
      diagnostic; otherwise the message says the ranges were not provably
      disjoint. *)
@@ -176,7 +177,7 @@ let lint ?(existing = []) ?incremental cat g =
   List.iter
     (fun (name, g') ->
       if footprint g' = fp && grouping_key g' = key then
-        if Prove.Level.define_on () then begin
+        if prove = Govern.Knobs.At_define then begin
           let cert = Prove.disjoint_graphs ~cat g g' in
           match cert.Prove.pc_status with
           | Prove.Proved -> () (* provably disjoint shards — fine *)

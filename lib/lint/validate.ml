@@ -34,14 +34,14 @@
      V115 a predicate whose type is definitely non-boolean
      V116 root box produces no output columns
      V117 SELECT box with no quantifiers (nothing to range over)
-     V118 statically-unsatisfiable predicate conjunction (deep mode only:
-          the static prover certified the SELECT box can never produce a
-          row — e.g. [x > 10 AND x < 5] — almost certainly a typo in the
-          definition)
+     V118 statically-unsatisfiable predicate conjunction (with [~prove]
+          only: the static prover certified the SELECT box can never
+          produce a row — e.g. [x > 10 AND x < 5] — almost certainly a
+          typo in the definition)
 
-   [check ~deep:true] additionally runs the V118 prover pass (used by
-   [astql lint]; the plan-time candidate validation stays shallow — an
-   unsatisfiable predicate is legal IR, just useless).
+   [check ~prove] with the prover on additionally runs the V118 prover
+   pass (used by [astql lint]; the plan-time candidate validation stays
+   shallow — an unsatisfiable predicate is legal IR, just useless).
 
    [check] walks only the boxes reachable from the root: the rewriter
    legitimately leaves disconnected subtrees behind when a compensation
@@ -71,7 +71,7 @@ let summary = function
 
 let norm = String.lowercase_ascii
 
-let check ?cat ?(deep = false) g =
+let check ?cat ?(prove = Govern.Knobs.Prove_off) g =
   Obs.Metrics.incr m_runs;
   let problems = ref [] in
   let push ?box code fmt =
@@ -199,7 +199,7 @@ let check ?cat ?(deep = false) g =
                     push ~box:id "V107" "aggregate in SELECT box predicate";
                   check_pred_type id s.B.sel_quants p)
                 s.B.sel_preds;
-              if deep && Prove.Level.rewrite_on () && s.B.sel_preds <> []
+              if prove <> Govern.Knobs.Prove_off && s.B.sel_preds <> []
               then begin
                 let col_ty { B.quant; col } =
                   match cat with

@@ -30,7 +30,9 @@ type t = {
   splanner : Plancache.Planner.t;
   mutable strace : bool;        (* record a span trace per planning attempt *)
   straces : Obs.Trace.ring;     (* recent traces (astql \trace show) *)
-  mutable slimits : Govern.Budget.limits;  (* per-statement default budget *)
+  mutable sknobs : Govern.Knobs.t;
+      (* the configuration in force; [set_limits] swaps in a copy with a
+         new default budget *)
   mutable sdegraded : string list;
       (* budget-exhaustion reasons recorded since the last [reset_degraded]
          — the server annotates replies with them so a client can tell a
@@ -49,7 +51,8 @@ type t = {
 type outcome = Msg of string | Table of R.t | Plan of string
 
 let create ?(rewrite = true) ?plan_capacity ?(verify = Off)
-    ?(verify_oracle = false) ?budget ?(auto_maint = false) () =
+    ?(verify_oracle = false) ?(knobs = Govern.Knobs.process ())
+    ?(auto_maint = false) () =
   {
     sdb = Engine.Db.create Catalog.empty;
     sstore = Store.empty;
@@ -58,13 +61,10 @@ let create ?(rewrite = true) ?plan_capacity ?(verify = Off)
     sverify = verify;
     sverify_acc = 0.;
     sverify_oracle = verify_oracle;
-    splanner = Plancache.Planner.create ?capacity:plan_capacity ();
+    splanner = Plancache.Planner.create ~knobs ?capacity:plan_capacity ();
     strace = false;
     straces = Obs.Trace.ring ();
-    slimits =
-      (match budget with
-      | Some l -> l
-      | None -> Govern.Budget.default_limits ());
+    sknobs = knobs;
     sdegraded = [];
     sauto_maint = auto_maint;
     smaint = Maint.create ();
@@ -72,29 +72,13 @@ let create ?(rewrite = true) ?plan_capacity ?(verify = Off)
     scopy_rows = [];
   }
 
-let of_tables ?(rewrite = true) ?plan_capacity ?(verify = Off)
-    ?(verify_oracle = false) ?budget ?(auto_maint = false) cat tables =
-  {
-    sdb = Engine.Db.of_tables cat tables;
-    sstore = Store.empty;
-    sshared = None;
-    srewrite = rewrite;
-    sverify = verify;
-    sverify_acc = 0.;
-    sverify_oracle = verify_oracle;
-    splanner = Plancache.Planner.create ?capacity:plan_capacity ();
-    strace = false;
-    straces = Obs.Trace.ring ();
-    slimits =
-      (match budget with
-      | Some l -> l
-      | None -> Govern.Budget.default_limits ());
-    sdegraded = [];
-    sauto_maint = auto_maint;
-    smaint = Maint.create ();
-    son_commit = None;
-    scopy_rows = [];
-  }
+let of_tables ?rewrite ?plan_capacity ?verify ?verify_oracle ?knobs
+    ?auto_maint cat tables =
+  let t =
+    create ?rewrite ?plan_capacity ?verify ?verify_oracle ?knobs ?auto_maint ()
+  in
+  t.sdb <- Engine.Db.of_tables cat tables;
+  t
 
 (* ---------------- shared-state binding ---------------- *)
 
@@ -104,12 +88,11 @@ let of_tables ?(rewrite = true) ?plan_capacity ?(verify = Off)
    itself stays single-threaded (one connection, one domain); parallelism
    comes from many sessions over one Shared.t. *)
 
-let attach ?(rewrite = true) ?plan_capacity ?(verify = Off)
-    ?(verify_oracle = false) ?budget ?(auto_maint = false) shared =
+let attach ?rewrite ?plan_capacity ?verify ?verify_oracle ?knobs ?auto_maint
+    shared =
   let snap = Shared.snapshot shared in
   let t =
-    create ~rewrite ?plan_capacity ~verify ~verify_oracle ?budget ~auto_maint
-      ()
+    create ?rewrite ?plan_capacity ?verify ?verify_oracle ?knobs ?auto_maint ()
   in
   t.sdb <- snap.Shared.sn_db;
   t.sstore <- snap.Shared.sn_store;
@@ -150,8 +133,8 @@ let with_snapshot t ~write f =
 let set_on_commit t hook = t.son_commit <- hook
 let set_rewrite t b = t.srewrite <- b
 let rewrite_enabled t = t.srewrite
-let limits t = t.slimits
-let set_limits t l = t.slimits <- l
+let limits t = t.sknobs.limits
+let set_limits t limits = t.sknobs <- { t.sknobs with limits }
 let auto_maint t = t.sauto_maint
 let set_auto_maint t b = t.sauto_maint <- b
 let maint t = t.smaint
@@ -190,6 +173,7 @@ let health t =
      quarantine skips: %d\n\
      verification:     %d run(s), %d mismatch(es), %d static skip(s)\n\
      budget:           %s (%d degraded plan(s))\n\
+     knobs:            %s\n\
      %s"
     st.Plancache.Stats.fallbacks st.Plancache.Stats.rw_errors
     st.Plancache.Stats.quarantined
@@ -197,8 +181,9 @@ let health t =
     st.Plancache.Stats.quarantine_skips st.Plancache.Stats.verify_runs
     st.Plancache.Stats.verify_mismatches
     st.Plancache.Stats.verify_static_skips
-    (Govern.Budget.describe t.slimits)
+    (Govern.Budget.describe (limits t))
     st.Plancache.Stats.degraded
+    (Govern.Knobs.to_string t.sknobs)
     (Maint.describe t.smaint)
 
 (* ---------------- DDL ---------------- *)
@@ -338,7 +323,7 @@ let do_delete t table where =
     try Qgm.Builder.build cat doomed_query
     with Qgm.Builder.Sem_error m -> err "semantic error: %s" m
   in
-  let doomed = Engine.Exec.run t.sdb g in
+  let doomed = Engine.Exec.run ~engine:t.sknobs.engine t.sdb g in
   (* maintain summaries with the delta before mutating the table *)
   let store', db', went_stale =
     Store.apply_delete t.sstore t.sdb ~table ~rows:(R.rows doomed)
@@ -405,10 +390,10 @@ let build_query t q =
     try Qgm.Builder.build (Engine.Db.catalog t.sdb) q
     with Qgm.Builder.Sem_error m -> err "semantic error: %s" m
   in
-  (* At ASTQL_VALIDATE=2 the builder's output is held to the same static
-     invariants as every rewrite candidate; a failure here is an engine
-     bug surfaced as a session error, not a crash. *)
-  if Lint.Level.candidates_on () then
+  (* At every-candidate validation the builder's output is held to the
+     same static invariants as every rewrite candidate; a failure here is
+     an engine bug surfaced as a session error, not a crash. *)
+  if t.sknobs.validate = Govern.Knobs.Every_candidate then
     (match Lint.Validate.check ~cat:(Engine.Db.catalog t.sdb) g with
     | [] -> ()
     | vs ->
@@ -449,7 +434,7 @@ let m_exec_degraded = Obs.Metrics.counter "govern.exec_degraded"
    classified and backed off (quarantine after max retries); a refresh cut
    short by the budget is deferred to the next boundary without penalty. *)
 let drain_due t due =
-  let budget = budget_of_limits t.slimits in
+  let budget = budget_of_limits (limits t) in
   List.iter
     (fun name ->
       match Store.find t.sstore name with
@@ -536,7 +521,8 @@ let corrupt_relation rel =
    the summary tables it used and the base plan's answer is served. The
    only exceptions that can escape are the ones the base plan itself
    raises, exactly as a rewrite:false session would. *)
-let run_query_unrewritten t g = (Engine.Exec.run t.sdb g, [])
+let run_query_unrewritten t g =
+  (Engine.Exec.run ~engine:t.sknobs.engine t.sdb g, [])
 
 let run_query_routed ?budget t g =
   let r = plan_query ?budget t g in
@@ -558,7 +544,7 @@ let run_query_routed ?budget t g =
       in
       match
         Guard.Sandbox.protect ~stage:Guard.Error.Execute (fun () ->
-            Engine.Exec.run ?budget t.sdb r.pr_graph)
+            Engine.Exec.run ?budget ~engine:t.sknobs.engine t.sdb r.pr_graph)
       with
       | exception Govern.Budget.Budget_exhausted reason ->
           (* the rewritten plan ran out of road mid-execution: containment
@@ -599,7 +585,7 @@ let run_query_routed ?budget t g =
               st.Plancache.Stats.verify_runs + 1;
             let reference =
               if t.sverify_oracle then Engine.Reference.run t.sdb g
-              else Engine.Exec.run t.sdb g
+              else Engine.Exec.run ~engine:t.sknobs.engine t.sdb g
             in
             if R.bag_equal_approx rel reference then (rel, steps)
             else begin
@@ -620,9 +606,9 @@ let run_query_routed ?budget t g =
             end
           end)
 
-let run_query ?limits t q =
+let run_query ?limits:override t q =
   drain_maintenance t;
-  let limits = Option.value ~default:t.slimits limits in
+  let limits = Option.value ~default:(limits t) override in
   with_snapshot t ~write:false (fun () ->
       try
         let g = build_query t q in
@@ -638,13 +624,13 @@ let explain_in_snapshot ?(verbose = false) t q =
   addf "original cost estimate: %.0f\n" (Astmatch.Cost.graph_cost cat g);
   (* plan under the session's limits, so what EXPLAIN reports — including
      budget degradation — is what an execution right now would do *)
-  let r = plan_query ?budget:(budget_of_limits t.slimits) t g in
+  let r = plan_query ?budget:(budget_of_limits (limits t)) t g in
   let fresh = Store.rewritable t.sstore in
   addf "cache: %s\n" (if r.Plancache.Planner.pr_hit then "hit" else "miss");
   addf "candidates: %d attempted, %d filtered (of %d fresh)\n" r.pr_attempted
     r.pr_filtered (List.length fresh);
   addf "validated: %s%s\n"
-    (Lint.Level.to_string (Lint.Level.current ()))
+    (Govern.Knobs.to_string t.sknobs)
     (if r.pr_validated > 0 then
        Printf.sprintf " (%d graph(s) checked)" r.pr_validated
      else "");
@@ -765,7 +751,7 @@ let lint_entry t (e : Store.entry) =
         else Some (o.Store.e_name, o.Store.e_graph))
       (Store.entries t.sstore)
   in
-  Lint.Advisor.lint ~existing
+  Lint.Advisor.lint ~existing ~prove:t.sknobs.prove
     ~incremental:(e.Store.e_incr <> None)
     (Engine.Db.catalog t.sdb) e.Store.e_graph
 
@@ -800,7 +786,10 @@ let exec_stmt_dispatch t stmt =
   | A.Create_summary { cs_name; cs_query } -> (
       let sql = Sqlsyn.Pretty.query_to_string cs_query in
       try
-        let store', db' = Store.define t.sstore t.sdb ~name:cs_name ~sql in
+        let store', db' =
+          Store.define ~validate:t.sknobs.validate t.sstore t.sdb
+            ~name:cs_name ~sql
+        in
         t.sstore <- store';
         t.sdb <- db';
         let e = Option.get (Store.find store' cs_name) in

@@ -22,7 +22,7 @@ exception Session_error of string
     certified every applied rewrite step at match time ([Proved]): those
     queries skip the runtime re-execution entirely (counted in
     [verify_static_skips] and the [prove.verify_skips] metric). Requires
-    [ASTQL_PROVE] ≥ 1 to ever skip. *)
+    the session's prover level to be on to ever skip. *)
 type verify = Off | Sampled of float | Always | Static
 
 (** [create ()] starts with an empty catalog. [?rewrite] (default true)
@@ -30,11 +30,12 @@ type verify = Off | Sampled of float | Always | Static
     the LRU plan cache (default 256 entries); [?verify] (default [Off])
     enables runtime result verification; [?verify_oracle] (default false)
     checks against the naive {!Engine.Reference} evaluator instead of the
-    optimized executor (slow — differential tests only); [?budget] sets
-    the per-statement resource limits (default
-    {!Govern.Budget.default_limits}, i.e. unlimited unless the
-    [ASTQL_DEADLINE_MS]/[ASTQL_MATCH_BUDGET] environment knobs say
-    otherwise); [?auto_maint] (default false) drains the deferred
+    optimized executor (slow — differential tests only); [?knobs]
+    (default {!Govern.Knobs.process}) is the session's configuration —
+    executor engine, validation and prover levels, ablation switches and
+    the default per-statement resource limits — owned by the session and
+    handed down to its planner, store and executor; [?auto_maint]
+    (default false) drains the deferred
     maintenance queue at statement boundaries, auto-refreshing summary
     tables that DML left stale (with backoff and quarantine on repeated
     failure). *)
@@ -43,7 +44,7 @@ val create :
   ?plan_capacity:int ->
   ?verify:verify ->
   ?verify_oracle:bool ->
-  ?budget:Govern.Budget.limits ->
+  ?knobs:Govern.Knobs.t ->
   ?auto_maint:bool ->
   unit ->
   t
@@ -54,7 +55,7 @@ val of_tables :
   ?plan_capacity:int ->
   ?verify:verify ->
   ?verify_oracle:bool ->
-  ?budget:Govern.Budget.limits ->
+  ?knobs:Govern.Knobs.t ->
   ?auto_maint:bool ->
   Catalog.t ->
   (string * Data.Relation.t) list ->
@@ -76,7 +77,7 @@ val attach :
   ?plan_capacity:int ->
   ?verify:verify ->
   ?verify_oracle:bool ->
-  ?budget:Govern.Budget.limits ->
+  ?knobs:Govern.Knobs.t ->
   ?auto_maint:bool ->
   Shared.t ->
   t
@@ -118,8 +119,8 @@ val rewrite_enabled : t -> bool
 val set_verify : t -> verify -> unit
 
 (** The session's default per-statement resource limits (admission
-    control). [set_limits] takes effect from the next statement; it never
-    interrupts one in flight. *)
+    control): the [limits] of its knobs. [set_limits] takes effect from the
+    next statement; it never interrupts one in flight. *)
 val limits : t -> Govern.Budget.limits
 
 val set_limits : t -> Govern.Budget.limits -> unit

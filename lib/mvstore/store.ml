@@ -213,7 +213,8 @@ let register_catalog db name cols =
   in
   Engine.Db.with_catalog db (Catalog.add_table cat tbl)
 
-let define store db ~name ~sql =
+let define ?(validate = (Govern.Knobs.process ()).validate) store db ~name
+    ~sql =
   if Smap.mem (norm name) store.s_map then
     err "summary table %s already exists" name;
   if Catalog.mem_table (Engine.Db.catalog db) name then
@@ -227,7 +228,7 @@ let define store db ~name ~sql =
     try Qgm.Builder.build (Engine.Db.catalog db) ast_q
     with Qgm.Builder.Sem_error m -> err "invalid summary definition: %s" m
   in
-  (if Lint.Level.candidates_on () then
+  (if validate = Govern.Knobs.Every_candidate then
      match Lint.Validate.check ~cat:(Engine.Db.catalog db) graph with
      | [] -> ()
      | vs ->

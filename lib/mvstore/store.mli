@@ -66,8 +66,12 @@ exception Mv_error of string
 
 (** [define store db ~name ~sql] parses and elaborates the defining query,
     materializes it, registers the result as a catalog table, and stores the
-    entry. Raises {!Mv_error} on name clashes or unsupported definitions. *)
-val define : t -> Engine.Db.t -> name:string -> sql:string -> t * Engine.Db.t
+    entry. Raises {!Mv_error} on name clashes or unsupported definitions,
+    and — at [validate = Every_candidate] (default: the process knobs') —
+    when the elaborated definition fails {!Lint.Validate}. *)
+val define :
+  ?validate:Govern.Knobs.validate -> t -> Engine.Db.t -> name:string ->
+  sql:string -> t * Engine.Db.t
 
 val drop : t -> Engine.Db.t -> string -> t * Engine.Db.t
 

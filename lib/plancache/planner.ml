@@ -10,6 +10,7 @@ type entry = {
 }
 
 type t = {
+  p_knobs : Govern.Knobs.t;
   p_cache : entry Cache.t;
   p_stats : Stats.t;
   p_quarantine : Guard.Quarantine.t;
@@ -30,8 +31,10 @@ type report = {
   pr_validated : int;  (* static validator runs during this planning *)
 }
 
-let create ?(capacity = 256) ?quarantine_capacity () =
+let create ?(knobs = Govern.Knobs.process ()) ?(capacity = 256)
+    ?quarantine_capacity () =
   {
+    p_knobs = knobs;
     p_cache = Cache.create ~capacity;
     p_stats = Stats.create ();
     p_quarantine = Guard.Quarantine.create ?capacity:quarantine_capacity ();
@@ -151,20 +154,24 @@ let plan_raw ?trace ?budget t ~cat ~epoch ~mvs g =
       in
       let v_runs0 = Obs.Metrics.counter_value m_lint_runs in
       let decision =
-        match Astmatch.Rewrite.best ~cat ~on_error ?trace ?budget g kept with
+        match
+          Astmatch.Rewrite.best ~cat ~on_error ?trace ?budget ~knobs:t.p_knobs
+            g kept
+        with
         | None -> No_rewrite
         | Some (g', steps) ->
             Obs.Metrics.incr m_rewrites;
             Rewrite (g', steps)
       in
-      (* final-plan static check (ASTQL_VALIDATE >= 1): a rewritten plan
+      (* final-plan static check (validation not off): a rewritten plan
          that fails validation never executes — its summaries are
          quarantined and the query degrades to the base plan. Candidates
          were already checked individually at level 2, so at that level
          this is a cheap re-check of the winner. *)
       let decision =
         match decision with
-        | Rewrite (g', steps) when Lint.Level.final_on () -> (
+        | Rewrite (g', steps) when t.p_knobs.validate <> Govern.Knobs.Validate_off
+          -> (
             match Lint.Validate.check ~cat g' with
             | [] -> decision
             | vs ->

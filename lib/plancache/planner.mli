@@ -36,16 +36,21 @@ type report = {
           a re-plan under an adequate budget will try again *)
   pr_validated : int;
       (** static-validator runs during this planning (candidates plus the
-          final plan, per the ASTQL_VALIDATE level; 0 on a hit) *)
+          final plan, per the knobs' validation level; 0 on a hit) *)
 }
 (** On a cache hit, [pr_attempted]/[pr_filtered]/[pr_quarantined] report
     the counts from the planning that produced the entry (nothing was
     attempted now). *)
 
-(** [create ?capacity ?quarantine_capacity ()] — [capacity] bounds the LRU
-    plan cache (default 256); [quarantine_capacity] bounds the quarantine
-    (default 256 fingerprints). *)
-val create : ?capacity:int -> ?quarantine_capacity:int -> unit -> t
+(** [create ?knobs ?capacity ?quarantine_capacity ()] — [knobs] (default
+    {!Govern.Knobs.process}) are stored and govern every planning: the
+    validation level, the prover level and the ablation switches;
+    [capacity] bounds the LRU plan cache (default 256);
+    [quarantine_capacity] bounds the quarantine (default 256
+    fingerprints). *)
+val create :
+  ?knobs:Govern.Knobs.t -> ?capacity:int -> ?quarantine_capacity:int ->
+  unit -> t
 
 (** [plan t ~cat ~epoch ~mvs g] routes [g] through the fresh summary
     tables [mvs]. [epoch] must change whenever [mvs], their contents, the

@@ -1,6 +1,8 @@
 #!/usr/bin/env bash
-# Server smoke test: boots astql-server on a Unix-domain socket and drives
-# the whole client path against it — every example script, a typed-error
+# Server smoke test: first checks that both binaries refuse a malformed
+# setting at boot (exit 2, the setting named), then boots astql-server on a
+# Unix-domain socket and drives the whole client path against it — every
+# example script, a typed-error
 # round trip (bad SQL must yield a structured error AND a non-zero client
 # exit without killing the connection for the next request), and a check
 # that the server.* metrics actually counted the traffic. Run from anywhere;
@@ -14,6 +16,9 @@ dune build bin/astql.exe bin/astql_server.exe
 SOCK=$(mktemp -u "${TMPDIR:-/tmp}/astql-smoke-XXXXXX.sock")
 METRICS=$(mktemp "${TMPDIR:-/tmp}/astql-smoke-metrics-XXXXXX.json")
 ERRTXT=$(mktemp "${TMPDIR:-/tmp}/astql-smoke-err-XXXXXX.txt")
+ONESQL=$(mktemp "${TMPDIR:-/tmp}/astql-smoke-one-XXXXXX.sql")
+ASTQL=./_build/default/bin/astql.exe
+SERVER=./_build/default/bin/astql_server.exe
 
 DURDIR=$(mktemp -d "${TMPDIR:-/tmp}/astql-smoke-dur-XXXXXX")
 
@@ -23,10 +28,38 @@ cleanup() {
     kill "$SERVER_PID" 2>/dev/null || true
     wait "$SERVER_PID" 2>/dev/null || true
   fi
-  rm -f "$SOCK" "$METRICS" "$ERRTXT"
+  rm -f "$SOCK" "$METRICS" "$ERRTXT" "$ONESQL"
   rm -rf "$DURDIR"
 }
 trap cleanup EXIT
+
+# [expect_rejected NAME CMD...]: CMD must exit 2 before serving or running
+# anything, with a message naming NAME.
+expect_rejected() {
+  local name=$1 code=0
+  shift
+  "$@" >"$ERRTXT" 2>&1 || code=$?
+  if [ "$code" -ne 2 ] || ! grep -q -- "$name" "$ERRTXT"; then
+    echo "FAIL: expected exit 2 naming $name from: $*  (exit $code)"
+    cat "$ERRTXT"
+    exit 1
+  fi
+}
+
+echo "== malformed settings are rejected at boot =="
+echo 'SELECT 1;' >"$ONESQL"
+for run in "$ASTQL run" "$SERVER --addr $SOCK"; do
+  # $run is split on purpose: a binary, then its subcommand or flags
+  # shellcheck disable=SC2086
+  expect_rejected ASTQL_VALIDATE env ASTQL_VALIDATE=7 $run "$ONESQL"
+  # shellcheck disable=SC2086
+  expect_rejected ASTQL_FSYNC env ASTQL_FSYNC=banana $run \
+    --durability "$DURDIR" "$ONESQL"
+  # shellcheck disable=SC2086
+  expect_rejected --exec $run --exec row "$ONESQL"
+done
+[ ! -e "$SOCK" ] || { echo "FAIL: a rejected server bound its socket"; exit 1; }
+[ -z "$(ls -A "$DURDIR")" ] || { echo "FAIL: a rejected boot wrote $DURDIR"; exit 1; }
 
 ./_build/default/bin/astql_server.exe \
   --addr "$SOCK" --domains 2 --queue-depth 16 --metrics-out "$METRICS" &

@@ -67,7 +67,12 @@ let tiny_db () =
 
 let build cat sql = Qgm.Builder.build cat (Sqlsyn.Parser.parse_query sql)
 
-let run db sql = Engine.Exec.run db (build (Engine.Db.catalog db) sql)
+let run ?engine db sql =
+  Engine.Exec.run ?engine db (build (Engine.Db.catalog db) sql)
+
+(* The knobs of the configuration the suite runs under (the ASTQL_*
+   environment); tests derive variants from it with [{ env_knobs with ... }]. *)
+let env_knobs = Govern.Knobs.process ()
 
 (* Match a query against one AST definition; both given as SQL. *)
 let match_sql cat ~query ~ast =

@@ -84,7 +84,7 @@ let agree spec =
   let db = Lazy.force db in
   let sql = sql_of spec in
   let g = build (Engine.Db.catalog db) sql in
-  let fast = Engine.Exec.with_engine Engine.Exec.Vector (fun () -> Engine.Exec.run db g) in
+  let fast = Engine.Exec.run ~engine:Govern.Knobs.Vector db g in
   let slow = Engine.Reference.run db g in
   if not (R.bag_equal_approx fast slow) then
     QCheck.Test.fail_reportf
@@ -166,7 +166,7 @@ let test_fixed () =
       let g = build (Engine.Db.catalog db) sql in
       Alcotest.(check bool) sql true
         (R.bag_equal_approx
-           (Engine.Exec.with_engine Engine.Exec.Vector (fun () -> Engine.Exec.run db g))
+           (Engine.Exec.run ~engine:Govern.Knobs.Vector db g)
            (Engine.Reference.run db g)))
     fixed_cases
 
@@ -195,7 +195,7 @@ let test_exact_types () =
       let g = build (Engine.Db.catalog db) sql in
       Alcotest.(check (list string)) sql
         (render (Engine.Reference.run db g))
-        (render (Engine.Exec.with_engine Engine.Exec.Vector (fun () -> Engine.Exec.run db g))))
+        (render (Engine.Exec.run ~engine:Govern.Knobs.Vector db g)))
     exact_cases
 
 (* -------- typed kernels: comparisons and integer group keys -------- *)
@@ -264,7 +264,7 @@ let engines_agree db sql =
   let g = build (Engine.Db.catalog db) sql in
   let slow = Engine.Reference.run db g in
   let got =
-    try Engine.Exec.with_engine Engine.Exec.Vector (fun () -> Engine.Exec.run db g)
+    try Engine.Exec.run ~engine:Govern.Knobs.Vector db g
     with ex -> Alcotest.failf "%s raised %s" sql (Printexc.to_string ex)
   in
   if not (R.bag_equal_approx got slow) then

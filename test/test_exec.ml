@@ -233,7 +233,7 @@ let test_nan_aggregates () =
     "SELECT g, COUNT(x) AS c, SUM(x) AS s, MIN(x) AS mn, MAX(x) AS mx, \
      AVG(x) AS a FROM m GROUP BY g"
   in
-  let vec = Engine.Exec.with_engine Engine.Exec.Vector (fun () -> run db sql) in
+  let vec = run ~engine:Govern.Knobs.Vector db sql in
   let orc = Engine.Reference.run db (build cat sql) in
   (* bag_equal_approx can't see NaN = NaN (abs-diff on nan is false), so
      compare under the polymorphic total order instead *)
@@ -445,8 +445,9 @@ let test_decode_extension_cost () =
 (* Through a session: after an INSERT of k rows into a decoded table, the
    next scan decodes exactly k rows. *)
 let test_insert_decodes_only_new_rows () =
-  Engine.Exec.with_engine Engine.Exec.Vector @@ fun () ->
-  let sn = Mvstore.Session.create () in
+  let sn =
+    Mvstore.Session.create ~knobs:{ env_knobs with engine = Govern.Knobs.Vector } ()
+  in
   let exec sql = ignore (Mvstore.Session.exec_sql sn sql) in
   exec
     "CREATE TABLE w (a INT NOT NULL, b VARCHAR, c FLOAT); INSERT INTO w \

@@ -85,26 +85,6 @@ let test_budget_unit () =
   Alcotest.(check bool) "deadline recorded" true
     (B.exhausted b = Some B.Deadline)
 
-let test_env_knobs () =
-  let saved_d = Sys.getenv_opt "ASTQL_DEADLINE_MS" in
-  let saved_m = Sys.getenv_opt "ASTQL_MATCH_BUDGET" in
-  let restore () =
-    Unix.putenv "ASTQL_DEADLINE_MS" (Option.value saved_d ~default:"");
-    Unix.putenv "ASTQL_MATCH_BUDGET" (Option.value saved_m ~default:"")
-  in
-  Fun.protect ~finally:restore @@ fun () ->
-  Unix.putenv "ASTQL_DEADLINE_MS" "7.5";
-  Unix.putenv "ASTQL_MATCH_BUDGET" "123";
-  let l = B.default_limits () in
-  Alcotest.(check bool) "deadline from env" true
-    (l.B.bl_deadline_ms = Some 7.5);
-  Alcotest.(check bool) "match budget from env" true
-    (l.B.bl_matches = Some 123);
-  Unix.putenv "ASTQL_DEADLINE_MS" "";
-  Unix.putenv "ASTQL_MATCH_BUDGET" "";
-  Alcotest.(check bool) "empty env is unlimited" true
-    (B.is_unlimited (B.default_limits ()))
-
 (* ---------------- deadline degradation at scale ---------------- *)
 
 (* A pair of sessions over the same data; [sn] carries [n] competing
@@ -438,7 +418,6 @@ let test_sandbox_fatal_not_swallowed () =
 let suite =
   [
     Alcotest.test_case "budget unit semantics" `Quick test_budget_unit;
-    Alcotest.test_case "environment knobs" `Quick test_env_knobs;
     Alcotest.test_case "deadline degrades, never wrong" `Quick
       test_deadline_degrades_never_wrong;
     Alcotest.test_case "degraded plan not cached" `Quick

@@ -29,8 +29,11 @@ let default_summary =
   "CREATE SUMMARY TABLE m AS SELECT g, SUM(v) AS s, COUNT(*) AS c FROM t \
    GROUP BY g;"
 
-let grouped_pair ?verify ?(summary = default_summary) () =
-  let sn = Sess.create ?verify () in
+let validation_off =
+  { Helpers.env_knobs with Govern.Knobs.validate = Govern.Knobs.Validate_off }
+
+let grouped_pair ?verify ?knobs ?(summary = default_summary) () =
+  let sn = Sess.create ?verify ?knobs () in
   let plain = Sess.create ~rewrite:false () in
   let both sql =
     script sn sql;
@@ -270,11 +273,12 @@ let test_injection_matrix () =
 let test_quarantine_not_resurrected_by_recreate () =
   with_clean_faults @@ fun () ->
   (* pin validation off: this test is about the *runtime* verify oracle
-     catching the corruption; at ASTQL_VALIDATE=2 the Corrupt fault would
-     strike at plan time and be caught statically instead (covered by
-     test_lint.ml) *)
-  Lint.Level.with_level Lint.Level.Off @@ fun () ->
-  let sn, plain, both = grouped_pair ~verify:Sess.Always () in
+     catching the corruption; at every-candidate validation the Corrupt
+     fault would strike at plan time and be caught statically instead
+     (covered by test_lint.ml) *)
+  let sn, plain, both =
+    grouped_pair ~verify:Sess.Always ~knobs:validation_off ()
+  in
   let q = "SELECT g, SUM(v) AS s FROM t GROUP BY g" in
   F.arm F.Corrupt ~after:1;
   ignore (run sn q);
@@ -336,8 +340,9 @@ let test_other_ast_still_tried () =
 let test_verify_catches_corruption () =
   with_clean_faults @@ fun () ->
   (* runtime-oracle path: see test_quarantine_not_resurrected_by_recreate *)
-  Lint.Level.with_level Lint.Level.Off @@ fun () ->
-  let sn, plain, both = grouped_pair ~verify:Sess.Always () in
+  let sn, plain, both =
+    grouped_pair ~verify:Sess.Always ~knobs:validation_off ()
+  in
   let q = "SELECT g, SUM(v) AS s FROM t GROUP BY g" in
   F.arm F.Corrupt ~after:1;
   let via, steps = run sn q in
@@ -421,7 +426,9 @@ let test_planner_sandbox () =
 
 let test_randomized_workload () =
   with_clean_faults @@ fun () ->
-  let seed = Option.value (F.seed_of_env ()) ~default:20260806 in
+  let seed =
+    Option.value Helpers.env_knobs.Govern.Knobs.fault_seed ~default:20260806
+  in
   let rng = Random.State.make [| seed |] in
   (* verify:Always so that every randomly injected result corruption is
      caught in the act — under sampling a corruption may (by design) be

@@ -4,8 +4,8 @@
    The validator tests hand-build ill-formed graphs with the Graph API and
    check each one is caught with the right V-code; the advisor tests drive
    whole sessions through SQL and look for L-codes on the definitions.
-   The acceptance test at the bottom arms the Corrupt fault at
-   ASTQL_VALIDATE=2 with runtime verification OFF and shows the corruption
+   The acceptance test at the bottom arms the Corrupt fault under
+   every-candidate validation with runtime verification OFF and shows the corruption
    is rejected *statically* at plan time: typed invalid-ir rejection in
    EXPLAIN REWRITE VERBOSE, candidate quarantined, correct answer served
    from the base plan. *)
@@ -18,6 +18,7 @@ module Val = Lint.Validate
 module Sess = Mvstore.Session
 module F = Guard.Fault
 module P = Plancache
+module K = Govern.Knobs
 
 let parse = Sqlsyn.Parser.parse_query
 
@@ -313,31 +314,27 @@ let test_level_parsing () =
     Alcotest.(check bool)
       (Printf.sprintf "parse %S" s)
       true
-      (Lint.Level.of_string s = expect)
+      (Result.map
+         (fun k -> k.K.validate)
+         (K.set K.default "ASTQL_VALIDATE" s)
+      = expect)
   in
-  check "0" (Some Lint.Level.Off);
-  check "off" (Some Lint.Level.Off);
-  check "1" (Some Lint.Level.Final);
-  check "final-plan" (Some Lint.Level.Final);
-  check "2" (Some Lint.Level.Candidates);
-  check "every-candidate" (Some Lint.Level.Candidates);
-  check "ALL" (Some Lint.Level.Candidates);
-  check "bogus" None;
-  Lint.Level.with_level Lint.Level.Off (fun () ->
-      Alcotest.(check bool) "off disables final" false (Lint.Level.final_on ());
-      Alcotest.(check bool) "off disables candidates" false
-        (Lint.Level.candidates_on ()));
-  Lint.Level.with_level Lint.Level.Final (fun () ->
-      Alcotest.(check bool) "final on" true (Lint.Level.final_on ());
-      Alcotest.(check bool) "candidates off at final" false
-        (Lint.Level.candidates_on ()));
-  Lint.Level.with_level Lint.Level.Candidates (fun () ->
-      Alcotest.(check bool) "candidates on" true (Lint.Level.candidates_on ()))
+  check "0" (Ok K.Validate_off);
+  check "off" (Ok K.Validate_off);
+  check "1" (Ok K.Final_plan);
+  check "final-plan" (Ok K.Final_plan);
+  check "2" (Ok K.Every_candidate);
+  check "every-candidate" (Ok K.Every_candidate);
+  check "ALL" (Ok K.Every_candidate);
+  check "bogus" (Error "expected 0|off, 1|final-plan, or 2|every-candidate")
+
+(* A session validating at [level], otherwise configured like the suite. *)
+let session_at ?rewrite level =
+  Sess.create ?rewrite ~knobs:{ Helpers.env_knobs with K.validate = level } ()
 
 (* With the knob off, planning never invokes the validator. *)
 let test_off_is_free () =
-  Lint.Level.with_level Lint.Level.Off @@ fun () ->
-  let sn = Sess.create () in
+  let sn = session_at K.Validate_off in
   ignore
     (Sess.exec_sql sn
        "CREATE TABLE t (g INT NOT NULL, v INT NOT NULL); \
@@ -426,15 +423,14 @@ let with_clean_faults f =
   F.disarm_all ();
   Fun.protect ~finally:F.disarm_all f
 
-(* Acceptance: at ASTQL_VALIDATE=2 with runtime verification OFF, an armed
-   Corrupt injection is caught *statically*: the ill-formed compensation is
-   rejected at plan time with a typed invalid-ir reason, the candidate is
-   quarantined, and the query is still answered correctly from the base
-   plan. *)
+(* Acceptance: at every-candidate validation with runtime verification OFF,
+   an armed Corrupt injection is caught *statically*: the ill-formed
+   compensation is rejected at plan time with a typed invalid-ir reason,
+   the candidate is quarantined, and the query is still answered correctly
+   from the base plan. *)
 let test_corrupt_caught_statically () =
   with_clean_faults @@ fun () ->
-  Lint.Level.with_level Lint.Level.Candidates @@ fun () ->
-  let sn = Sess.create () (* verify defaults to Off *) in
+  let sn = session_at K.Every_candidate (* verify defaults to Off *) in
   let plain = Sess.create ~rewrite:false () in
   let both sql =
     ignore (Sess.exec_sql sn sql);
@@ -479,8 +475,7 @@ let test_corrupt_caught_statically () =
    armed fault is left for the runtime site (test_guard covers it) *)
 let test_corrupt_site_respects_level () =
   with_clean_faults @@ fun () ->
-  Lint.Level.with_level Lint.Level.Final @@ fun () ->
-  let sn = Sess.create () in
+  let sn = session_at K.Final_plan in
   ignore
     (Sess.exec_sql sn
        "CREATE TABLE t (g INT NOT NULL, v INT NOT NULL); \

@@ -300,8 +300,11 @@ let test_partition () =
 
 let script session sql = ignore (Sess.exec_sql session sql)
 
-let setup_grouped () =
-  let sn = Sess.create ~verify:Sess.Static () in
+let setup_grouped prove =
+  let sn =
+    Sess.create ~verify:Sess.Static
+      ~knobs:{ Helpers.env_knobs with Govern.Knobs.prove } ()
+  in
   script sn
     "CREATE TABLE t (g INT NOT NULL, v INT NOT NULL); \
      INSERT INTO t VALUES (1, 10), (1, 20), (2, 5); \
@@ -310,51 +313,48 @@ let setup_grouped () =
   sn
 
 let test_static_verify_skips () =
-  P.Level.with_level P.Level.Rewrite (fun () ->
-      let sn = setup_grouped () in
-      let q = Sqlsyn.Parser.parse_query "SELECT g, SUM(v) AS s FROM t GROUP BY g" in
-      let rel, steps = Sess.run_query sn q in
-      Alcotest.(check bool) "rewritten" true (steps <> []);
-      check_proved "plan certified" true (Astmatch.Rewrite.steps_proof steps);
-      let st = Sess.stats sn in
-      Alcotest.(check int) "no runtime verification" 0
-        st.Plancache.Stats.verify_runs;
-      Alcotest.(check int) "one static skip" 1
-        st.Plancache.Stats.verify_static_skips;
-      (* the served answer is still right *)
-      Sess.set_rewrite sn false;
-      let direct, _ = Sess.run_query sn q in
-      Alcotest.(check bool) "bag-equal" true (R.bag_equal_approx rel direct))
+  let sn = setup_grouped Govern.Knobs.At_rewrite in
+  let q = Sqlsyn.Parser.parse_query "SELECT g, SUM(v) AS s FROM t GROUP BY g" in
+  let rel, steps = Sess.run_query sn q in
+  Alcotest.(check bool) "rewritten" true (steps <> []);
+  check_proved "plan certified" true (Astmatch.Rewrite.steps_proof steps);
+  let st = Sess.stats sn in
+  Alcotest.(check int) "no runtime verification" 0
+    st.Plancache.Stats.verify_runs;
+  Alcotest.(check int) "one static skip" 1
+    st.Plancache.Stats.verify_static_skips;
+  (* the served answer is still right *)
+  Sess.set_rewrite sn false;
+  let direct, _ = Sess.run_query sn q in
+  Alcotest.(check bool) "bag-equal" true (R.bag_equal_approx rel direct)
 
 let test_static_verify_falls_back () =
   (* prover off: no certificate can exist, so Static behaves like Always *)
-  P.Level.with_level P.Level.Off (fun () ->
-      let sn = setup_grouped () in
-      let q = Sqlsyn.Parser.parse_query "SELECT g, SUM(v) AS s FROM t GROUP BY g" in
-      let _, steps = Sess.run_query sn q in
-      Alcotest.(check bool) "still rewritten" true (steps <> []);
-      check_proved "not certified" false (Astmatch.Rewrite.steps_proof steps);
-      let st = Sess.stats sn in
-      Alcotest.(check int) "runtime verification ran" 1
-        st.Plancache.Stats.verify_runs;
-      Alcotest.(check int) "no static skip" 0
-        st.Plancache.Stats.verify_static_skips)
+  let sn = setup_grouped Govern.Knobs.Prove_off in
+  let q = Sqlsyn.Parser.parse_query "SELECT g, SUM(v) AS s FROM t GROUP BY g" in
+  let _, steps = Sess.run_query sn q in
+  Alcotest.(check bool) "still rewritten" true (steps <> []);
+  check_proved "not certified" false (Astmatch.Rewrite.steps_proof steps);
+  let st = Sess.stats sn in
+  Alcotest.(check int) "runtime verification ran" 1
+    st.Plancache.Stats.verify_runs;
+  Alcotest.(check int) "no static skip" 0
+    st.Plancache.Stats.verify_static_skips
 
 let test_explain_proved_line () =
-  P.Level.with_level P.Level.Rewrite (fun () ->
-      let sn = setup_grouped () in
-      match
-        Sess.exec_sql sn
-          "EXPLAIN REWRITE SELECT g, SUM(v) AS s FROM t GROUP BY g;"
-      with
-      | [ Sess.Plan p ] ->
-          let has needle =
-            let n = String.length needle and h = String.length p in
-            let rec go i = i + n <= h && (String.sub p i n = needle || go (i + 1)) in
-            go 0
-          in
-          Alcotest.(check bool) "proved line" true (has "proved: yes")
-      | _ -> Alcotest.fail "expected a plan")
+  let sn = setup_grouped Govern.Knobs.At_rewrite in
+  match
+    Sess.exec_sql sn
+      "EXPLAIN REWRITE SELECT g, SUM(v) AS s FROM t GROUP BY g;"
+  with
+  | [ Sess.Plan p ] ->
+      let has needle =
+        let n = String.length needle and h = String.length p in
+        let rec go i = i + n <= h && (String.sub p i n = needle || go (i + 1)) in
+        go 0
+      in
+      Alcotest.(check bool) "proved line" true (has "proved: yes")
+  | _ -> Alcotest.fail "expected a plan"
 
 let suite =
   [

@@ -9,8 +9,8 @@ open Helpers
 
 let fresh_db () = tiny_db ()
 
-let define db name sql =
-  S.define S.empty db ~name ~sql
+let define ?validate db name sql =
+  S.define ?validate S.empty db ~name ~sql
 
 let test_define_registers_table () =
   let store, db =
@@ -27,8 +27,8 @@ let test_define_registers_table () =
   Alcotest.(check (list string)) "tables" [ "fact" ] e.S.e_tables
 
 let test_incr_plan_detection () =
-  let plan_of sql =
-    let store, _ = define (fresh_db ()) "m" sql in
+  let plan_of ?validate sql =
+    let store, _ = define ?validate (fresh_db ()) "m" sql in
     (Option.get (S.find store "m")).S.e_incr
   in
   Alcotest.(check bool) "count/sum/min/max ok" true
@@ -58,14 +58,19 @@ let test_incr_plan_detection () =
         sets((grp, v + 1), (grp))"
     = None);
   (* the validator (V113) refuses the definition outright at
-     ASTQL_VALIDATE=2; otherwise it is defined, but not maintained *)
+     every-candidate validation; otherwise it is defined, but not
+     maintained *)
+  let repeated =
+    "select grp, dim, count(*) as c from fact group by grouping \
+     sets((grp, dim), (dim, grp), ())"
+  in
   Alcotest.(check bool) "a repeated grouping set blocks" true
+    (plan_of ~validate:Govern.Knobs.Final_plan repeated = None);
+  Alcotest.(check bool) "a repeated grouping set is ill-formed IR" true
     (try
-       plan_of
-         "select grp, dim, count(*) as c from fact group by grouping \
-          sets((grp, dim), (dim, grp), ())"
-       = None
-     with S.Mv_error _ -> Lint.Level.candidates_on ());
+       ignore (plan_of ~validate:Govern.Knobs.Every_candidate repeated);
+       false
+     with S.Mv_error _ -> true);
   Alcotest.(check bool) "the decision-support cube is maintainable" true
     (let db =
        Engine.Db.of_tables (Workload.Star_schema.catalog ())

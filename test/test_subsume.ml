@@ -11,15 +11,17 @@ let ge e k = E.Binop (">=", e, c k)
 let lt e k = E.Binop ("<", e, c k)
 let le e k = E.Binop ("<=", e, c k)
 
+let prove = Helpers.env_knobs.Govern.Knobs.prove
+
 let check msg expected weak strong =
-  Alcotest.(check bool) msg expected (S.subsumes ~ty:S.no_ty ~weak ~strong)
+  Alcotest.(check bool) msg expected (S.subsumes ~prove ~ty:S.no_ty ~weak ~strong)
 
 (* the oracle an integer-typed (or date-typed) column provides *)
 let int_ty _ = Some V.Tint
 let date_ty _ = Some V.Tdate
 
 let check_ty ty msg expected weak strong =
-  Alcotest.(check bool) msg expected (S.subsumes ~ty ~weak ~strong)
+  Alcotest.(check bool) msg expected (S.subsumes ~prove ~ty ~weak ~strong)
 
 let test_equal () =
   check "identical" true (gt x 10) (gt x 10);
