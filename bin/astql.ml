@@ -564,34 +564,23 @@ let print_wire_outcome = function
       print_endline (Data.Relation.to_string (Data.Relation.create cols rows))
 
 (* Send one script to the server; print outcomes or the typed error.
-   Returns false when the request failed. With [attempts > 1] the robust
-   path is used: transport faults and overload shed retry under the
-   client's idempotency discipline instead of raising. *)
-let remote_exec ?(attempts = 1) client sql =
-  let print_reply (r : Server.Wire.reply) =
-    (match r.Server.Wire.rp_degraded with
-    | [] -> ()
-    | ds ->
-        Printf.eprintf "note: degraded answer (%s)\n%!"
-          (String.concat ", " ds));
-    List.iter print_wire_outcome r.Server.Wire.rp_results;
-    true
-  in
-  if attempts <= 1 then
-    match Server.Client.request client sql with
-    | Ok r -> print_reply r
-    | Error e ->
-        Printf.printf "error: %s\n" (Server.Wire.error_to_string e);
-        false
-    | exception Server.Lineio.Read_timeout _ ->
-        Printf.printf "error: no response within the timeout\n";
-        false
-  else
-    match Server.Client.request_robust client ~attempts sql with
-    | Ok r -> print_reply r
-    | Error f ->
-        Printf.printf "error: %s\n" (Server.Client.failure_to_string f);
-        false
+   Returns false when the request failed. Every transport fault (a lost
+   connection, a timeout, an oversize reply) comes back as a typed failure;
+   with [attempts > 1] the retryable ones retry under the client's
+   idempotency discipline first. *)
+let remote_exec ~attempts client sql =
+  match Server.Client.request_robust client ~attempts sql with
+  | Ok r ->
+      (match r.Server.Wire.rp_degraded with
+      | [] -> ()
+      | ds ->
+          Printf.eprintf "note: degraded answer (%s)\n%!"
+            (String.concat ", " ds));
+      List.iter print_wire_outcome r.Server.Wire.rp_results;
+      true
+  | Error f ->
+      Printf.printf "error: %s\n" (Server.Client.failure_to_string f);
+      false
 
 (* The remote REPL reuses the local shell's read-accumulate-until-';'
    loop, but each complete buffer travels the wire instead of hitting a
@@ -614,16 +603,12 @@ let remote_repl ~attempts client =
           if String.contains line ';' then begin
             let text = Buffer.contents buf in
             Buffer.clear buf;
-            match remote_exec ~attempts client text with
-            | (_ : bool) -> ()
-            | exception End_of_file ->
-                print_endline "server closed the connection";
-                raise Exit
+            ignore (remote_exec ~attempts client text : bool)
           end;
           loop ()
         end
   in
-  (try loop () with Exit -> ());
+  loop ();
   Server.Client.close client
 
 let connect_cmd =
@@ -696,13 +681,7 @@ let connect_cmd =
     if scripts = [] then remote_repl ~attempts client
     else begin
       let ok =
-        try
-          List.fold_left
-            (fun ok s -> remote_exec ~attempts client s && ok)
-            true scripts
-        with End_of_file ->
-          Printf.eprintf "server closed the connection\n";
-          false
+        List.fold_left (fun ok s -> remote_exec ~attempts client s && ok) true scripts
       in
       Server.Client.close client;
       if not ok then Stdlib.exit 1

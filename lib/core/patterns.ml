@@ -835,7 +835,7 @@ and match_group_group ctx (e_grp : B.group_body) (r_grp : B.group_body) =
                         agg.E.fn = E.Count
                         && (not agg.E.distinct)
                         && not
-                             (Props.column_nullable ctx.Mctx.cat ctx.Mctx.qg
+                             (Qgm.Typing.column_nullable ctx.Mctx.cat ctx.Mctx.qg
                                 e_child a)
                       then
                         Some
@@ -1002,7 +1002,7 @@ and match_group_spec ctx ~keys ~sets ~simple ~aggs ~pulled_preds ~rejoins
     List.map (fun (n, { B.agg; arg }) -> (n, agg, arg)) r_grp.B.grp_aggs
   in
   let arg_nullable c =
-    Props.column_nullable ctx.Mctx.cat ctx.Mctx.ag r_child c
+    Qgm.Typing.column_nullable ctx.Mctx.cat ctx.Mctx.ag r_child c
   in
   (* 1:N rejoin test (4.2.1): every rejoined child must be joined on a
      unique key of its base table *)

@@ -3,12 +3,7 @@
     The aggregate-derivation rules (paper section 4.1.2) need nullability
     facts ("COUNT(z) where z is non-nullable may stand in for COUNT(*)"),
     and the rejoin rules need key facts for 1:N joins. Analyses are
-    conservative: a column is reported nullable unless provably not. *)
-
-(** [column_nullable cat g box col] — can the named output column of [box]
-    in graph [g] ever be NULL? *)
-val column_nullable :
-  Catalog.t -> Qgm.Graph.t -> Qgm.Box.box_id -> string -> bool
+    conservative. Nullability itself is {!Qgm.Typing.column_nullable}. *)
 
 (** [base_table_of g box] — when [box] is a base-table leaf, its table
     name. *)

@@ -1,24 +1,7 @@
 type row = Value.t array
+type t = { cols : string array; data : row array }
 
-(* [rid] is a process-unique stamp used as a cache key by the columnar
-   decoder (Engine.Column): relations are immutable, so a stamp identifies
-   the payload for the relation's whole lifetime. Every construction —
-   including derived relations that share [cols] — gets a fresh stamp.
-   [anc] is the recent append ancestry, newest first: the stamp of each
-   relation whose rows are a prefix of [data] because [append] built this
-   one from it. *)
-type t = { cols : string array; data : row array; rid : int; anc : int list }
-
-let next_rid = Atomic.make 1
-
-let make ?(anc = []) cols data =
-  { cols; data; rid = Atomic.fetch_and_add next_rid 1; anc }
-
-let id r = r.rid
-let ancestry r = r.anc
-
-(* the decode cache's capacity: an older ancestor is unlikely to be cached *)
-let ancestry_cap = 16
+let make cols data = { cols; data }
 
 let check_width cols rows =
   let n = Array.length cols in
@@ -62,8 +45,7 @@ let project r names =
 
 let append r extra =
   check_width r.cols extra;
-  let anc = r.rid :: List.filteri (fun i _ -> i < ancestry_cap - 1) r.anc in
-  make ~anc r.cols (Array.append r.data (Array.of_list extra))
+  make r.cols (Array.append r.data (Array.of_list extra))
 
 let filter p r = make r.cols (Array.of_seq (Seq.filter p (Array.to_seq r.data)))
 let map_rows f r = make r.cols (Array.map f r.data)

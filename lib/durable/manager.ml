@@ -284,10 +284,13 @@ let restore_summaries store db summaries =
    rewrite. *)
 let verify_cap = 10_000
 
-let payload_matches stored derived =
-  if R.cardinality stored <= verify_cap then
-    R.bag_equal_approx stored derived
-  else R.cardinality derived = R.cardinality stored
+let payload_matches db name derived =
+  let n = Option.value ~default:0 (Engine.Db.cardinality db name) in
+  if n > verify_cap then R.cardinality derived = n
+  else
+    match Engine.Db.get db name with
+    | Some stored -> R.bag_equal_approx stored derived
+    | None -> R.cardinality derived = 0
 
 let verify_summaries shared =
   let quarantined = ref [] in
@@ -304,12 +307,7 @@ let verify_summaries shared =
                    individual answers *)
                 ()
             | derived ->
-                let stored =
-                  match Engine.Db.get !db name with
-                  | Some r -> r
-                  | None -> R.empty (List.map fst e.St.e_cols)
-                in
-                if not (payload_matches stored derived) then begin
+                if not (payload_matches !db name derived) then begin
                   let store', db' = St.quarantine_payload !store !db name in
                   store := store';
                   db := db';

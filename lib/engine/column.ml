@@ -3,7 +3,8 @@
    A column is one unboxed buffer per runtime type plus an optional
    byte-per-row validity mask (1 = NULL; the data slot under a set byte is
    zero padding). A batch is a set of equal-length columns with names — the
-   columnar mirror of a [Data.Relation.t].
+   columnar mirror of a [Data.Relation.t], and the stored form of every
+   table and summary in [Db].
 
    Numeric buffers are Bigarrays, not OCaml arrays, deliberately: column
    data lives outside the OCaml heap, so the garbage collector neither
@@ -12,17 +13,11 @@
    executor's cost was dominated by GC work proportional to allocation
    size times live-heap size; with Bigarrays a batch costs a malloc.
 
-   Decoding a relation classifies each column in one pass (all-Int, numeric
-   Int/Float mix promoted to float, dictionary-encoded strings, booleans,
-   dates) and falls back to a boxed [Value.t array] for anything mixed —
-   the executor's kernels then degrade gracefully per column instead of
-   refusing the whole batch. Base-table decodes are cached process-wide,
-   keyed by the relation's unique stamp ([Relation.id]): relations are
-   immutable, so a stamp fully identifies the payload, and DML produces a
-   fresh relation (fresh stamp) whose old columns simply age out of the
-   LRU; appends extend the cached decode of the relation they grew from
-   ([Relation.ancestry]), decoding only the new rows. The cache is
-   mutex-protected — executor domains share it. *)
+   Encoding classifies each column in one pass (all-Int, all-Float,
+   dictionary-encoded strings, booleans, dates) and falls back to a boxed
+   [Value.t array] for anything mixed — an INT/FLOAT mix included, so every
+   value keeps its own type — and the executor's kernels then degrade per
+   column instead of refusing the whole batch. *)
 
 module V = Data.Value
 module R = Data.Relation
@@ -51,8 +46,8 @@ let fcreate n : floats = BA1.create Bigarray.float64 Bigarray.c_layout n
    ([scratch_begin]/[scratch_end], nestable); every chunk returns to a
    process-wide pool at the end of the run, so steady state allocates
    nothing. Scratch buffers must not outlive the run — executor results
-   are converted to boxed relations before the arena resets, and the
-   decode cache uses permanent allocations ([icreate]/[fcreate]). When no
+   are converted to boxed relations before the arena resets, and stored
+   tables use permanent allocations ([icreate]/[fcreate]). When no
    arena is armed (unit tests driving kernels directly), scratch requests
    degrade to permanent allocations. *)
 
@@ -164,7 +159,7 @@ type data =
   | Dates of ints               (* yyyymmdd encoding, as in Value.Date *)
   | Bools of Bytes.t            (* '\001' = true *)
   | Dict of ints * string array (* per-row code into the dictionary *)
-  | Boxed of V.t array          (* mixed / unclassified *)
+  | Boxed of V.t array          (* mixed / unclassified / all-NULL *)
 
 type t = { data : data; nulls : Bytes.t option }
 
@@ -193,12 +188,12 @@ let get c i =
     | Boxed a -> a.(i)
 
 (* ------------------------------------------------------------------ *)
-(* Classification / decode                                             *)
+(* Classification / encode                                             *)
 (* ------------------------------------------------------------------ *)
 
 let no_nulls m = Bytes.for_all (fun c -> c = '\000') m
 
-let build ~promote (vals : V.t array) : t =
+let of_values_exact (vals : V.t array) : t =
   let n = Array.length vals in
   let ints = ref 0 and floats = ref 0 and strs = ref 0 and bools = ref 0 in
   let dates = ref 0 and nulls = ref 0 in
@@ -230,11 +225,10 @@ let build ~promote (vals : V.t array) : t =
       done;
       Ints a
     end
-    else if !ints + !floats = nonnull && (promote || !ints = 0) then begin
+    else if !floats = nonnull then begin
       let a = fcreate n in
       for i = 0 to n - 1 do
         match vals.(i) with
-        | V.Int x -> BA1.unsafe_set a i (float_of_int x)
         | V.Float x -> BA1.unsafe_set a i x
         | _ ->
             BA1.unsafe_set a i 0.0;
@@ -297,9 +291,6 @@ let build ~promote (vals : V.t array) : t =
   in
   { data; nulls = mask }
 
-let of_values vals = build ~promote:true vals
-let of_values_exact vals = build ~promote:false vals
-
 let to_values c =
   let n = length c in
   Array.init n (get c)
@@ -329,25 +320,25 @@ let const v n : t =
 (* Batch <-> relation                                                  *)
 (* ------------------------------------------------------------------ *)
 
-let decodes = Obs.Metrics.counter "exec.col_decodes"
-let decode_hits = Obs.Metrics.counter "exec.col_decode_hits"
-let decode_ms = Obs.Metrics.histogram "exec.col_decode_ms"
-let decoded_rows = Obs.Metrics.counter "exec.col_decoded_rows"
+(* Rows encoded into stored columns: a put encodes every row, an append
+   only the rows it adds (plus the old rows of a column whose kind
+   changes). Scans encode nothing. *)
+let encodes = Obs.Metrics.counter "exec.col_decodes"
+let encode_ms = Obs.Metrics.histogram "exec.col_decode_ms"
+let encoded_rows = Obs.Metrics.counter "exec.col_decoded_rows"
 
-let decoding nrows f =
-  Obs.Metrics.incr decodes;
-  Obs.Metrics.add decoded_rows nrows;
-  Obs.Metrics.time decode_ms f
+let encoding nrows f =
+  Obs.Metrics.incr encodes;
+  Obs.Metrics.add encoded_rows nrows;
+  Obs.Metrics.time encode_ms f
 
 let of_relation (r : R.t) : batch =
-  decoding (R.cardinality r) @@ fun () ->
   let rows = R.rows_array r in
-  let names = R.columns r in
   let n = Array.length rows in
+  encoding n @@ fun () ->
+  let names = R.columns r in
   let cols =
-    Array.mapi
-      (fun ci _ -> of_values (Array.init n (fun i -> rows.(i).(ci))))
-      names
+    Array.mapi (fun ci _ -> of_values_exact (Array.init n (fun i -> rows.(i).(ci)))) names
   in
   { names; cols; nrows = n }
 
@@ -362,30 +353,32 @@ let to_relation (b : batch) : R.t =
 (* Gather (row selection by index)                                     *)
 (* ------------------------------------------------------------------ *)
 
-let gather (c : t) (idx : ints) (k : int) : t =
+(* Rows of [c] at [idx.(0..k-1)], the numeric buffers from [ialloc] and
+   [falloc]. *)
+let gather_into ialloc falloc (c : t) (idx : ints) (k : int) : t =
   let data =
     match c.data with
     | Ints a ->
-        let out = scratch_ints k in
+        let out = ialloc k in
         for i = 0 to k - 1 do
           BA1.unsafe_set out i (BA1.unsafe_get a (BA1.unsafe_get idx i))
         done;
         Ints out
     | Dates a ->
-        let out = scratch_ints k in
+        let out = ialloc k in
         for i = 0 to k - 1 do
           BA1.unsafe_set out i (BA1.unsafe_get a (BA1.unsafe_get idx i))
         done;
         Dates out
     | Floats a ->
-        let out = scratch_floats k in
+        let out = falloc k in
         for i = 0 to k - 1 do
           BA1.unsafe_set out i (BA1.unsafe_get a (BA1.unsafe_get idx i))
         done;
         Floats out
     | Bools b -> Bools (Bytes.init k (fun i -> Bytes.unsafe_get b (BA1.unsafe_get idx i)))
     | Dict (codes, dict) ->
-        let out = scratch_ints k in
+        let out = ialloc k in
         for i = 0 to k - 1 do
           BA1.unsafe_set out i (BA1.unsafe_get codes (BA1.unsafe_get idx i))
         done;
@@ -401,19 +394,27 @@ let gather (c : t) (idx : ints) (k : int) : t =
   in
   { data; nulls }
 
+let gather c idx k = gather_into scratch_ints scratch_floats c idx k
+
+let take (b : batch) (rows : int array) : batch =
+  let k = Array.length rows in
+  let idx = icreate k in
+  Array.iteri (BA1.unsafe_set idx) rows;
+  { b with cols = Array.map (fun c -> gather_into icreate fcreate c idx k) b.cols; nrows = k }
+
 (* ------------------------------------------------------------------ *)
-(* Append extension                                                    *)
+(* Append                                                              *)
 (* ------------------------------------------------------------------ *)
 
-(* Can [vals] follow column [p] without [of_values] over the concatenation
-   choosing another kind? An all-NULL or mixed prefix ([Boxed]) never
-   qualifies: its kind depends on values still to come. *)
+(* Can [vals] follow column [p] without [of_values_exact] over the
+   concatenation choosing another kind? An all-NULL or mixed prefix
+   ([Boxed]) never qualifies: its kind depends on values still to come. *)
 let extendable (p : t) (vals : V.t array) =
   let fits v =
     match (p.data, v) with
     | _, V.Null
     | Ints _, V.Int _
-    | Floats _, (V.Int _ | V.Float _)
+    | Floats _, V.Float _
     | Dates _, V.Date _
     | Bools _, V.Bool _
     | Dict _, V.Str _ ->
@@ -422,11 +423,18 @@ let extendable (p : t) (vals : V.t array) =
   in
   (match p.data with Boxed _ -> false | _ -> true) && Array.for_all fits vals
 
-(* [p] followed by [vals] ([extendable p vals]), in fresh buffers, equal to
-   [of_values] of the concatenated values: the same padding under NULLs,
-   INTs promoted in a float column, and new strings appended to the
-   dictionary in first-occurrence order. *)
-let extend (p : t) (vals : V.t array) : t =
+(* A stored numeric column may be the first rows of a larger buffer, its
+   room: an append writes the new values into the room instead of copying
+   the column. Every older batch of the table shares the buffer but reads
+   only the prefix it was built with. *)
+type room = Iroom of ints | Froom of floats | No_room
+
+(* [p] followed by [vals] ([extendable p vals]), equal to [of_values_exact]
+   of the concatenated values: the same padding under NULLs, and new
+   strings appended to the dictionary in first-occurrence order. The values
+   go into [room] when it backs [p] and has space; otherwise into a fresh
+   permanent buffer of twice the length, which becomes the room. *)
+let extend (p : t) room (vals : V.t array) : t * room =
   let n = length p and k = Array.length vals in
   let nulls =
     if p.nulls = None && not (Array.exists V.is_null vals) then None
@@ -438,32 +446,44 @@ let extend (p : t) (vals : V.t array) : t =
     end
   in
   let ints a enc =
-    let out = icreate (n + k) in
-    BA1.blit a (BA1.sub out 0 n);
-    Array.iteri (fun i v -> BA1.unsafe_set out (n + i) (enc v)) vals;
-    out
+    let r =
+      match room with
+      | Iroom r when BA1.dim r >= n + k -> r
+      | _ ->
+          let r = icreate (2 * (n + k)) in
+          BA1.blit a (BA1.sub r 0 n);
+          r
+    in
+    Array.iteri (fun i v -> BA1.unsafe_set r (n + i) (enc v)) vals;
+    (BA1.sub r 0 (n + k), Iroom r)
   in
-  let data =
+  let data, room =
     match p.data with
-    | Ints a -> Ints (ints a (function V.Int x -> x | _ -> 0))
-    | Dates a -> Dates (ints a (function V.Date x -> x | _ -> 0))
+    | Ints a ->
+        let a, room = ints a (function V.Int x -> x | _ -> 0) in
+        (Ints a, room)
+    | Dates a ->
+        let a, room = ints a (function V.Date x -> x | _ -> 0) in
+        (Dates a, room)
     | Floats a ->
-        let out = fcreate (n + k) in
-        BA1.blit a (BA1.sub out 0 n);
+        let r =
+          match room with
+          | Froom r when BA1.dim r >= n + k -> r
+          | _ ->
+              let r = fcreate (2 * (n + k)) in
+              BA1.blit a (BA1.sub r 0 n);
+              r
+        in
         Array.iteri
-          (fun i v ->
-            BA1.unsafe_set out (n + i)
-              (match v with
-              | V.Int x -> float_of_int x
-              | V.Float x -> x
-              | _ -> 0.0))
+          (fun i v -> BA1.unsafe_set r (n + i) (match v with V.Float x -> x | _ -> 0.0))
           vals;
-        Floats out
+        (Floats (BA1.sub r 0 (n + k)), Froom r)
     | Bools b ->
-        Bools
-          (Bytes.cat b
-             (Bytes.init k (fun i ->
-                  if vals.(i) = V.Bool true then '\001' else '\000')))
+        ( Bools
+            (Bytes.cat b
+               (Bytes.init k (fun i ->
+                    if vals.(i) = V.Bool true then '\001' else '\000'))),
+          No_room )
     | Dict (codes, dict) ->
         let tbl = Hashtbl.create (Array.length dict) in
         Array.iteri (fun c s -> Hashtbl.replace tbl s c) dict;
@@ -480,86 +500,54 @@ let extend (p : t) (vals : V.t array) : t =
                   c)
           | _ -> 0
         in
-        let codes = ints codes code in
-        Dict (codes, Array.append dict (Array.of_list (List.rev !added)))
+        let codes, room = ints codes code in
+        (Dict (codes, Array.append dict (Array.of_list (List.rev !added))), room)
     | Boxed _ -> invalid_arg "Column.extend: boxed prefix"
   in
-  { data; nulls }
+  ({ data; nulls }, room)
 
-(* Decode [r] from [prefix], the decode of its first [prefix.nrows] rows:
-   [None] when some column would change kind, so only a full decode gives
-   [of_relation]'s answer. *)
-let extend_batch (prefix : batch) (r : R.t) : batch option =
-  let rows = R.rows_array r and n = prefix.nrows in
-  let k = Array.length rows - n in
-  let vals =
-    Array.mapi (fun ci _ -> Array.init k (fun i -> rows.(n + i).(ci))) prefix.cols
+(* [rooms.(i)] is [No_room] or the buffer whose prefix is column [i]'s
+   data. [claimed] counts the rows of the rooms that some batch owns, and
+   is shared along a line of appends: only the batch that owns the last
+   claimed row may extend in place. Any other append from an older batch
+   (a second append from one batch, say after a rolled-back statement)
+   copies instead, leaving the newer batch's rows alone. *)
+type stored = { batch : batch; rooms : room array; claimed : int Atomic.t }
+
+let store b =
+  { batch = b; rooms = Array.make (Array.length b.cols) No_room; claimed = Atomic.make b.nrows }
+
+let stored_batch s = s.batch
+
+let append (s : stored) (rows : R.row array) : stored =
+  let b = s.batch in
+  let n = b.nrows and k = Array.length rows and width = Array.length b.names in
+  Array.iter
+    (fun r ->
+      if Array.length r <> width then
+        invalid_arg
+          (Printf.sprintf "Column.append: row width %d, schema width %d"
+             (Array.length r) width))
+    rows;
+  encoding k @@ fun () ->
+  let in_place = Atomic.compare_and_set s.claimed n (n + k) in
+  let col ci p =
+    let vals = Array.init k (fun i -> rows.(i).(ci)) in
+    if extendable p vals then extend p (if in_place then s.rooms.(ci) else No_room) vals
+    else begin
+      Obs.Metrics.add encoded_rows n;
+      (of_values_exact (Array.append (to_values p) vals), No_room)
+    end
   in
-  if not (Array.for_all2 extendable prefix.cols vals) then None
-  else
-    Some
-      ( decoding k @@ fun () ->
-        { names = R.columns r; cols = Array.map2 extend prefix.cols vals; nrows = n + k } )
-
-(* ------------------------------------------------------------------ *)
-(* Decode cache                                                        *)
-(* ------------------------------------------------------------------ *)
-
-let cache_cap = 16
-let cache : (int, batch * int ref) Hashtbl.t = Hashtbl.create 32
-let cache_mutex = Mutex.create ()
-let cache_tick = ref 0
-
-(* On a miss, the newest cached append ancestor seeds an extension instead
-   of a full decode. *)
-let cached (r : R.t) : batch =
-  let key = R.id r in
-  let hit, prefix =
-    Mutex.lock cache_mutex;
-    let res =
-      match Hashtbl.find_opt cache key with
-      | Some (b, stamp) ->
-          incr cache_tick;
-          stamp := !cache_tick;
-          (Some b, None)
-      | None ->
-          ( None,
-            List.find_map
-              (fun id -> Option.map fst (Hashtbl.find_opt cache id))
-              (R.ancestry r) )
-    in
-    Mutex.unlock cache_mutex;
-    res
-  in
-  match hit with
-  | Some b ->
-      Obs.Metrics.incr decode_hits;
-      b
-  | None ->
-      let b =
-        match Option.bind prefix (fun p -> extend_batch p r) with
-        | Some b -> b
-        | None -> of_relation r
-      in
-      Mutex.lock cache_mutex;
-      incr cache_tick;
-      Hashtbl.replace cache key (b, ref !cache_tick);
-      if Hashtbl.length cache > cache_cap then begin
-        (* evict the least-recently-used entry *)
-        let victim = ref (-1) and oldest = ref max_int in
-        Hashtbl.iter
-          (fun k (_, stamp) ->
-            if !stamp < !oldest then begin
-              oldest := !stamp;
-              victim := k
-            end)
-          cache;
-        if !victim >= 0 then Hashtbl.remove cache !victim
-      end;
-      Mutex.unlock cache_mutex;
-      b
+  let cols, rooms = Array.split (Array.mapi col b.cols) in
+  {
+    batch = { b with cols; nrows = n + k };
+    rooms;
+    claimed = (if in_place then s.claimed else Atomic.make (n + k));
+  }
 
 let cache_clear () =
-  Mutex.lock cache_mutex;
-  Hashtbl.reset cache;
-  Mutex.unlock cache_mutex
+  Mutex.lock pool_mutex;
+  ipool := [];
+  fpool := [];
+  Mutex.unlock pool_mutex

@@ -1,7 +1,7 @@
 (* Vectorized (batch-at-a-time) QGM operators over typed column vectors.
 
    Execution here is column-at-a-time over whole-relation batches: scan
-   decodes a base table once (through Column's LRU cache), joins build hash
+   projects a base table's stored columns ([Db.batch]), joins build hash
    tables on key columns and gather matching rows, and aggregation assigns
    dense group ids in one pass then folds each aggregate in a tight typed
    loop. Shapes without a typed kernel (CASE, odd type mixes) evaluate row
@@ -831,8 +831,7 @@ let batch_col_index (b : C.batch) name =
   go 0
 
 let exec_base db { B.bt_table; bt_cols } : C.batch =
-  let rel = Db.get_exn db bt_table in
-  let full = C.cached rel in
+  let full = Db.batch db bt_table in
   {
     C.names = Array.of_list bt_cols;
     cols = Array.of_list (List.map (fun c -> full.C.cols.(batch_col_index full c)) bt_cols);
@@ -913,7 +912,7 @@ let select_rows ~(child : B.quant -> C.batch) (sel : B.select_body) : lbatch =
         Array.iteri
           (fun ci col ->
             init_lay := !init_lay @ [ (q.B.q_id, String.lowercase_ascii col) ];
-            init_cols := !init_cols @ [ C.of_values [| value ci |] ])
+            init_cols := !init_cols @ [ C.of_values_exact [| value ci |] ])
           cb.C.names
       end)
     quants;

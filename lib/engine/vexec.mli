@@ -6,8 +6,7 @@
 
 exception Error of string
 
-(** Scan a base table through the columnar decode cache, projected to the
-    box's columns. Raises [Not_found] on a missing column, like
+(** Scan a base table's stored columns, projected to the box's columns. Raises [Not_found] on a missing column, like
     [Relation.project]. *)
 val exec_base : Db.t -> Qgm.Box.base_body -> Column.batch
 

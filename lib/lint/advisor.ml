@@ -67,39 +67,6 @@ let grouping_key g =
   | Some (_, grp) ->
       Some (List.sort compare (List.map norm (B.grouping_union grp.B.grp_grouping)))
 
-(* Is a grouping column nullable in the base table it comes from? The
-   grouping keys of a summary are child columns of the group box; chase
-   them down to base tables through select outputs when they are simple
-   column passthroughs. *)
-let col_nullable cat g box_id col =
-  let rec chase box_id col =
-    let b = G.box g box_id in
-    match b.B.body with
-    | B.Base { bt_table; _ } -> (
-        match Catalog.find_table cat bt_table with
-        | None -> false
-        | Some tbl -> (
-            match Catalog.find_column tbl col with
-            | Some c -> c.Catalog.nullable
-            | None -> false))
-    | B.Select s -> (
-        match
-          List.find_opt (fun (n, _) -> norm n = norm col) s.B.sel_outs
-        with
-        | Some (_, E.Col { B.quant; col = c }) -> (
-            match List.find_opt (fun q -> q.B.q_id = quant) s.B.sel_quants with
-            | Some q -> chase q.B.q_box c
-            | None -> false)
-        | _ -> false)
-    | B.Group grp ->
-        if List.exists (fun c -> norm c = norm col)
-             (B.grouping_union grp.B.grp_grouping)
-        then chase grp.B.grp_quant.B.q_box col
-        else false
-    | B.Union _ -> false
-  in
-  chase box_id col
-
 let lint ?(existing = []) ?incremental ?(prove = (Govern.Knobs.process ()).prove)
     cat g =
   let diags = ref [] in
@@ -159,7 +126,7 @@ let lint ?(existing = []) ?incremental ?(prove = (Govern.Knobs.process ()).prove
           List.iter
             (fun c ->
               if rolled_up c
-                 && col_nullable cat g grp.B.grp_quant.B.q_box c
+                 && Qgm.Typing.column_nullable cat g grp.B.grp_quant.B.q_box c
               then
                 push "L104" "grouping-sets-nullable-key"
                   "grouping sets roll up nullable column %s; a rolled-up \

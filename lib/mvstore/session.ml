@@ -252,6 +252,14 @@ let const_eval (e : A.expr) =
   try Engine.Eval.eval (fun (_ : unit) -> V.Null) (conv e)
   with Engine.Eval.Eval_error m -> err "bad INSERT value: %s" m
 
+(* INSERT, COPY FROM and WAL row replay: maintain summaries with the rows
+   in isolation (the delta), then append them to the table. *)
+let append_rows t table rows =
+  let store', db', went_stale = Store.apply_insert t.sstore t.sdb ~table ~rows in
+  t.sstore <- store';
+  List.iter (Maint.enqueue t.smaint) went_stale;
+  t.sdb <- Engine.Db.append db' table rows
+
 let do_insert t table cols_opt rows =
   let cat = Engine.Db.catalog t.sdb in
   let tbl =
@@ -288,18 +296,7 @@ let do_insert t table cols_opt rows =
     row
   in
   let new_rows = List.map mkrow rows in
-  (* incremental maintenance first (needs the delta in isolation) *)
-  let store', db', went_stale =
-    Store.apply_insert t.sstore t.sdb ~table ~rows:new_rows
-  in
-  t.sstore <- store';
-  List.iter (Maint.enqueue t.smaint) went_stale;
-  let current =
-    match Engine.Db.get db' table with
-    | Some r -> r
-    | None -> R.empty all_cols
-  in
-  t.sdb <- Engine.Db.put db' table (R.append current new_rows);
+  append_rows t table new_rows;
   Msg (Printf.sprintf "%d row(s) inserted into %s" (List.length new_rows) table)
 
 let do_delete t table where =
@@ -359,15 +356,7 @@ let do_copy_from t table path header =
         tbl.Catalog.tbl_cols;
       ignore row)
     rows;
-  let store', db', went_stale = Store.apply_insert t.sstore t.sdb ~table ~rows in
-  t.sstore <- store';
-  List.iter (Maint.enqueue t.smaint) went_stale;
-  let current =
-    match Engine.Db.get db' table with
-    | Some r -> r
-    | None -> R.empty (Catalog.column_names tbl)
-  in
-  t.sdb <- Engine.Db.put db' table (R.append current rows);
+  append_rows t table rows;
   (* stash for the commit record: the CSV file may not exist at replay *)
   t.scopy_rows <- rows;
   Msg (Printf.sprintf "%d row(s) copied into %s" (List.length rows) table)
@@ -800,7 +789,7 @@ let exec_stmt_dispatch t stmt =
         in
         Msg
           (Printf.sprintf "summary table %s created (%d rows%s)%s" cs_name
-             (R.cardinality (Engine.Db.get_exn db' cs_name))
+             (Option.value ~default:0 (Engine.Db.cardinality db' cs_name))
              (match e.Store.e_incr with
              | Some _ -> ", incrementally maintainable"
              | None -> "")
@@ -883,23 +872,9 @@ let exec_stmt t stmt =
    durability hook is installed, so nothing is re-logged. *)
 let replay_rows t ~table ~rows =
   with_snapshot t ~write:true (fun () ->
-      let cat = Engine.Db.catalog t.sdb in
-      let tbl =
-        match Catalog.find_table cat table with
-        | Some tbl -> tbl
-        | None -> err "unknown table %s" table
-      in
-      let store', db', went_stale =
-        Store.apply_insert t.sstore t.sdb ~table ~rows
-      in
-      t.sstore <- store';
-      List.iter (Maint.enqueue t.smaint) went_stale;
-      let current =
-        match Engine.Db.get db' table with
-        | Some r -> r
-        | None -> R.empty (Catalog.column_names tbl)
-      in
-      t.sdb <- Engine.Db.put db' table (R.append current rows))
+      if not (Catalog.mem_table (Engine.Db.catalog t.sdb) table) then
+        err "unknown table %s" table;
+      append_rows t table rows)
 
 let exec_sql t sql =
   (* statement-at-a-time: statements before a syntax error have executed

@@ -3,6 +3,7 @@ module B = Qgm.Box
 module G = Qgm.Graph
 module R = Data.Relation
 module V = Data.Value
+module C = Engine.Column
 
 exception Mv_error of string
 
@@ -65,7 +66,7 @@ let mergeable_grouping cat g grp =
            (fun c ->
              not
                (rolled_up c
-               && Astmatch.Props.column_nullable cat g grp.B.grp_quant.B.q_box c))
+               && Qgm.Typing.column_nullable cat g grp.B.grp_quant.B.q_box c))
            (B.grouping_union grp.B.grp_grouping)
 
 (* Detect the insert-incremental shape: a single SELECT / GROUP BY / SELECT
@@ -174,7 +175,7 @@ let incr_plan_of cat g =
                               match (agg.E.fn, arg) with
                               | E.Sum, Some a ->
                                   not
-                                    (Astmatch.Props.column_nullable cat g
+                                    (Qgm.Typing.column_nullable cat g
                                        grp.B.grp_quant.B.q_box a)
                               | _ -> true)
                             grp.B.grp_aggs
@@ -342,73 +343,84 @@ let refresh_full ?budget store db name =
           },
         db )
 
-(* Merge a delta aggregation into the stored contents, by group key.
-   [sign = -1] subtracts (delete maintenance); groups whose COUNT-star
-   column reaches zero are dropped. *)
-let merge_delta ?(sign = 1) plan current delta =
-  let cols = Array.to_list (R.columns current) in
-  let key_idx = List.map (R.column_index current) plan.ip_keys in
-  let agg_idx =
-    List.map (fun (n, m) -> (R.column_index current n, m)) plan.ip_aggs
+(* Merge a delta aggregation into the stored contents of summary [name],
+   by group key. [sign = -1] subtracts (delete maintenance); groups whose
+   COUNT-star column reaches zero are dropped. Only the key columns are
+   read in full. The merged and new groups are appended, then one
+   selection puts every merged group back in its stored place, drops the
+   groups whose count reached zero, and keeps new groups last in delta
+   order: the order a recomputation would give under inserts, which a
+   query with ties under ORDER BY ... LIMIT can observe. *)
+let merge_delta ?(sign = 1) plan db name delta =
+  let current = Engine.Db.batch db name in
+  let cols = current.C.cols and n = current.C.nrows in
+  let index c = Option.get (Array.find_index (fun x -> norm x = norm c) current.C.names) in
+  let key_idx = List.map index plan.ip_keys in
+  let agg_idx = List.map (fun (c, m) -> (index c, m)) plan.ip_aggs in
+  let merged = Array.map Array.copy (R.rows_array delta) in
+  let pending = Hashtbl.create (Array.length merged) in
+  Array.iteri
+    (fun j drow -> Hashtbl.replace pending (List.map (fun i -> drow.(i)) key_idx) j)
+    merged;
+  let merge row drow =
+    List.iter
+      (fun (i, m) ->
+        drow.(i) <-
+          (match m with
+          | M_add ->
+              let d =
+                if sign >= 0 then drow.(i)
+                else if drow.(i) = V.Null then V.Null
+                else V.neg drow.(i)
+              in
+              if row.(i) = V.Null then d
+              else if d = V.Null then row.(i)
+              else V.add row.(i) d
+          | M_min ->
+              if row.(i) = V.Null then drow.(i)
+              else if drow.(i) = V.Null then row.(i)
+              else if V.compare drow.(i) row.(i) < 0 then drow.(i)
+              else row.(i)
+          | M_max ->
+              if row.(i) = V.Null then drow.(i)
+              else if drow.(i) = V.Null then row.(i)
+              else if V.compare drow.(i) row.(i) > 0 then drow.(i)
+              else row.(i)))
+      agg_idx
   in
-  let tbl = Hashtbl.create (R.cardinality current) in
-  let keyed row = List.map (fun i -> row.(i)) key_idx in
-  let order = ref [] in
-  Array.iter
-    (fun row ->
-      let k = keyed row in
-      Hashtbl.replace tbl k (Array.copy row);
-      order := k :: !order)
-    (R.rows_array current);
-  let new_keys = ref [] in
-  Array.iter
-    (fun drow ->
-      let k = keyed drow in
-      match Hashtbl.find_opt tbl k with
-      | None ->
-          Hashtbl.replace tbl k (Array.copy drow);
-          new_keys := k :: !new_keys
-      | Some row ->
-          List.iter
-            (fun (i, m) ->
-              row.(i) <-
-                (match m with
-                | M_add ->
-                    let d =
-                      if sign >= 0 then drow.(i)
-                      else if drow.(i) = V.Null then V.Null
-                      else V.neg drow.(i)
-                    in
-                    if row.(i) = V.Null then d
-                    else if d = V.Null then row.(i)
-                    else V.add row.(i) d
-                | M_min ->
-                    if row.(i) = V.Null then drow.(i)
-                    else if drow.(i) = V.Null then row.(i)
-                    else if V.compare drow.(i) row.(i) < 0 then drow.(i)
-                    else row.(i)
-                | M_max ->
-                    if row.(i) = V.Null then drow.(i)
-                    else if drow.(i) = V.Null then row.(i)
-                    else if V.compare drow.(i) row.(i) > 0 then drow.(i)
-                    else row.(i)))
-            agg_idx)
-    (R.rows_array delta);
-  let rows =
-    List.rev_map (fun k -> Hashtbl.find tbl k) !order
-    @ List.rev_map (fun k -> Hashtbl.find tbl k) !new_keys
-  in
-  let rows =
+  (* [hit.(r)]: the delta row merged into stored row [r], or -1 *)
+  let hit = Array.make n (-1) and is_new = Array.make (Array.length merged) true in
+  for r = 0 to n - 1 do
+    match Hashtbl.find_opt pending (List.map (fun i -> C.get cols.(i) r) key_idx) with
+    | Some j ->
+        merge (Array.map (fun c -> C.get c r) cols) merged.(j);
+        hit.(r) <- j;
+        is_new.(j) <- false
+    | None -> ()
+  done;
+  let alive =
     match plan.ip_count with
     | Some c when sign < 0 ->
-        let ci = R.column_index current c in
-        List.filter
-          (fun row ->
-            match row.(ci) with V.Int n -> n > 0 | _ -> true)
-          rows
-    | _ -> rows
+        let ci = index c in
+        fun row -> (match row.(ci) with V.Int n -> n > 0 | _ -> true)
+    | _ -> fun _ -> true
   in
-  R.create cols rows
+  (* the appended row of each live delta row *)
+  let at = Array.make (Array.length merged) (-1) and next = ref n in
+  Array.iteri
+    (fun j row ->
+      if alive row then begin
+        at.(j) <- !next;
+        incr next
+      end)
+    merged;
+  let order =
+    List.filter (fun i -> i >= 0)
+      (List.init n (fun r -> if hit.(r) < 0 then r else at.(hit.(r)))
+      @ List.filteri (fun j _ -> is_new.(j)) (Array.to_list at))
+  in
+  let db = Engine.Db.append db name (List.filter alive (Array.to_list merged)) in
+  Engine.Db.select db name (Array.of_list order)
 
 let deletable plan =
   plan.ip_count <> None
@@ -440,8 +452,7 @@ let apply_delta ~sign ~absorbs store db ~table ~rows =
           match (e.e_incr, e.e_fresh) with
           | Some plan, true when absorbs plan ->
               let delta = Engine.Exec.run (Lazy.force delta_db) e.e_graph in
-              let current = Engine.Db.get_exn db e.e_name in
-              (smap, Engine.Db.put db e.e_name (merge_delta ~sign plan current delta))
+              (smap, merge_delta ~sign plan db e.e_name delta)
           | _ ->
               if e.e_fresh then went_stale := e.e_name :: !went_stale;
               (Smap.add key { e with e_fresh = false } smap, db))

@@ -15,3 +15,13 @@ val col_type : Catalog.t -> Graph.t -> Box.box_id -> string -> Data.Value.ty
     predicates that are definitely non-boolean. *)
 val expr_type :
   Catalog.t -> Graph.t -> Box.quant list -> Box.qref Expr.t -> Data.Value.ty
+
+(** [column_nullable cat g box col] — can the named output column of [box]
+    in graph [g] ever be NULL? Conservative: a column is nullable unless
+    provably not, and a computed column is nullable when an input is. *)
+val column_nullable : Catalog.t -> Graph.t -> Box.box_id -> string -> bool
+
+(** Nullability of an expression evaluated in a box that declares
+    [quants], by the rules of {!column_nullable}. *)
+val expr_nullable :
+  Catalog.t -> Graph.t -> Box.quant list -> Box.qref Expr.t -> bool

@@ -4,8 +4,10 @@
 # Unix-domain socket and drives the whole client path against it — every
 # example script, a typed-error
 # round trip (bad SQL must yield a structured error AND a non-zero client
-# exit without killing the connection for the next request), and a check
-# that the server.* metrics actually counted the traffic. Run from anywhere;
+# exit without killing the connection for the next request), a check
+# that the server.* metrics actually counted the traffic, and a reply past
+# the client's line cap (a typed error and exit 1, after which the server
+# still answers). Run from anywhere;
 # it cd's to the repo root. CI runs it in the server-smoke job next to the
 # PERF8 serving gate (ASTRW_SMOKE=1 bench run).
 set -euo pipefail
@@ -104,6 +106,24 @@ grep -q '"server.requests"' "$METRICS" || {
 grep -q '"server.connections"' "$METRICS" || {
   echo "FAIL: server.connections missing from metrics dump"; exit 1;
 }
+
+echo "== oversize reply: a typed error, and the server keeps serving =="
+./_build/default/bin/astql_server.exe --addr "$SOCK" --domains 2 --demo --scale 3 &
+SERVER_PID=$!
+
+code=0
+./_build/default/bin/astql.exe connect --retry 20 "$SOCK" \
+  -e 'SELECT * FROM Trans;' >"$ERRTXT" 2>&1 || code=$?
+if [ "$code" -ne 1 ] || ! grep -q 'connection error: oversize response line' "$ERRTXT"; then
+  echo "FAIL: expected exit 1 with an oversize-reply error (exit $code)"
+  head -c 2000 "$ERRTXT"
+  exit 1
+fi
+./_build/default/bin/astql.exe connect "$SOCK" -e 'SELECT COUNT(*) FROM Trans;'
+
+kill -TERM "$SERVER_PID"
+wait "$SERVER_PID" || { echo "FAIL: demo server exited non-zero on SIGTERM"; exit 1; }
+SERVER_PID=
 
 echo "== durability: drain on SIGTERM, final checkpoint, recovery =="
 ./_build/default/bin/astql_server.exe \

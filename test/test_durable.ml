@@ -354,6 +354,30 @@ let test_copy_from_replayed_as_rows () =
   Helpers.check_rows "rows survive without the file" expected
     (table_of sess2 "SELECT a, b FROM t;")
 
+(* An INT stored in a FLOAT column stays an INT through a checkpoint and
+   recovery, in the stored rows and in a vectorized scan. *)
+let test_checkpoint_keeps_int_in_float_column () =
+  let dir = tmpdir () in
+  let mgr, shared, _ = M.recover (cfg_of dir ~every:0 ()) in
+  let sess = Sess.attach shared in
+  M.bind mgr sess;
+  ignore
+    (Sess.exec_sql sess
+       "CREATE TABLE t (a INT NOT NULL, b FLOAT); INSERT INTO t VALUES (1, 0.5), (2, 3);");
+  M.checkpoint mgr;
+  M.close mgr;
+  let _, shared2, _ = M.recover (cfg_of dir ~every:0 ()) in
+  let expected = R.create [ "a"; "b" ] [ [| V.Int 1; V.Float 0.5 |]; [| V.Int 2; V.Int 3 |] ] in
+  let exact name r =
+    Alcotest.(check bool) name true
+      (List.sort compare (R.rows r) = List.sort compare (R.rows expected))
+  in
+  exact "stored rows" (Engine.Db.get_exn (Mvstore.Shared.snapshot shared2).Mvstore.Shared.sn_db "t");
+  let sess2 =
+    Sess.attach ~knobs:{ Helpers.env_knobs with engine = Govern.Knobs.Vector } shared2
+  in
+  exact "scanned rows" (table_of sess2 "SELECT a, b FROM t;")
+
 let test_corrupt_payload_quarantined () =
   let dir = tmpdir () in
   let col name ty nullable = { Catalog.col_name = name; col_ty = ty; nullable } in
@@ -490,6 +514,8 @@ let suite =
       test_rolled_back_statement_never_replayed;
     Alcotest.test_case "copy-from replayed as rows" `Quick
       test_copy_from_replayed_as_rows;
+    Alcotest.test_case "checkpoint keeps an INT in a FLOAT column" `Quick
+      test_checkpoint_keeps_int_in_float_column;
     Alcotest.test_case "corrupt summary payload quarantined" `Quick
       test_corrupt_payload_quarantined;
     Alcotest.test_case "undecodable summary dropped" `Quick

@@ -300,8 +300,8 @@ let test_box_self_times_add_up () =
   if not (boxes <= run && boxes >= 0.8 *. run) then
     Alcotest.failf "box self times sum to %.3f ms, exec.run_ms to %.3f ms" boxes run
 
-(* [of_values] promotes an INT/FLOAT mix to FLOAT; [of_values_exact] keeps
-   only the mix boxed, and still types a column of one kind. *)
+(* [of_values_exact] keeps an INT/FLOAT mix boxed, and still types a
+   column of one kind. *)
 let test_column_exact () =
   let module C = Engine.Column in
   let kind vals =
@@ -316,15 +316,13 @@ let test_column_exact () =
   Alcotest.(check string) "mix" "boxed" (kind [| V.Int 7; V.Null; V.Float 0.5 |]);
   let c = C.of_values_exact [| V.Int 7; V.Null; V.Float 0.5 |] in
   Alcotest.(check bool) "exact values" true
-    (C.to_values c = [| V.Int 7; V.Null; V.Float 0.5 |] && C.is_null c 1);
-  Alcotest.(check bool) "of_values promotes" true
-    (C.to_values (C.of_values [| V.Int 7; V.Float 0.5 |]) = [| V.Float 7.0; V.Float 0.5 |])
+    (C.to_values c = [| V.Int 7; V.Null; V.Float 0.5 |] && C.is_null c 1)
 
-(* ---------------- append-extending decode ---------------- *)
+(* ---------------- typed storage ---------------- *)
 
 module C = Engine.Column
 
-(* Everything a decode fixes: kind, every buffer slot (the padding under
+(* Everything an encode fixes: kind, every buffer slot (the padding under
    NULLs included), the null mask and the dictionary's order. *)
 let dump_column (c : C.t) =
   let n = C.length c in
@@ -376,7 +374,7 @@ let gen_value fam =
   in
   frequency [ (2, return V.Null); (12, own); (1, return other) ]
 
-(* A relation, then appends, each decoded through the cache or not. *)
+(* A table, then appends to it. *)
 let gen_appends =
   let open QCheck.Gen in
   let* fams = list_size (int_range 1 4) (oneofl [ Fint; Ffloat; Fstr; Fdate; Fbool ]) in
@@ -389,76 +387,127 @@ let gen_appends =
             fams null_prefix))
   in
   let* init = list_size (int_range 0 6) (row ~first:true) in
-  let* appends =
-    list_size (int_range 1 4) (pair (list_size (int_range 0 4) (row ~first:false)) bool)
-  in
+  let* appends = list_size (int_range 1 4) (list_size (int_range 0 4) (row ~first:false)) in
   return (List.length fams, init, appends)
 
 let print_appends (width, init, appends) =
   let cols = List.init width (Printf.sprintf "c%d") in
-  String.concat "\n"
-    (R.to_string (R.create cols init)
-    :: List.map
-         (fun (rows, decode) ->
-           Printf.sprintf "append (decode %b):\n%s" decode
-             (R.to_string (R.create cols rows)))
-         appends)
+  String.concat "\nappend:\n"
+    (List.map (fun rows -> R.to_string (R.create cols rows)) (init :: appends))
 
-let prop_decode_extension =
-  QCheck.Test.make ~name:"append-extended decode equals a full decode" ~count:300
+let empty_db = Engine.Db.create Catalog.empty
+
+(* [Db.append] of [appends] after a put of [init], against one put of
+   everything: the same stored columns, for every batch along the line of
+   appends (a later append leaves an earlier batch as it was), and for a
+   second append from the line's first append, made after the line grew
+   from it. *)
+let append_equals_put cols init appends =
+  let put rows = Engine.Db.batch (Engine.Db.put empty_db "t" (R.create cols rows)) "t" in
+  let base = Engine.Db.put empty_db "t" (R.create cols init) in
+  let line =
+    List.fold_left (fun acc rows -> Engine.Db.append (List.hd acc) "t" rows :: acc) [ base ] appends
+  in
+  let m = List.length appends in
+  let first = List.nth line (m - 1) in
+  let branch = Engine.Db.append first "t" (List.concat appends) in
+  same_batch (Engine.Db.batch branch "t") (put (List.concat (init :: List.hd appends :: appends)))
+  && List.for_all2
+       (fun db i ->
+         same_batch (Engine.Db.batch db "t")
+           (put (List.concat (init :: List.filteri (fun j _ -> j < m - i) appends))))
+       line
+       (List.init (m + 1) Fun.id)
+
+let prop_append_equals_put =
+  QCheck.Test.make ~name:"Db.append equals a put of the concatenation" ~count:300
     (QCheck.make ~print:print_appends gen_appends)
     (fun (width, init, appends) ->
-      let r0 = R.create (List.init width (Printf.sprintf "c%d")) init in
-      ignore (C.cached r0);
-      let last =
-        List.fold_left
-          (fun r (rows, decode) ->
-            let r' = R.append r rows in
-            if decode then ignore (C.cached r');
-            r')
-          r0 appends
+      append_equals_put (List.init width (Printf.sprintf "c%d")) init appends)
+
+let kind_of (c : C.t) =
+  match c.C.data with
+  | C.Ints _ -> "ints"
+  | C.Floats _ -> "floats"
+  | C.Dates _ -> "dates"
+  | C.Bools _ -> "bools"
+  | C.Dict (_, d) -> Printf.sprintf "dict %d" (Array.length d)
+  | C.Boxed _ -> "boxed"
+
+let encoded_rows = Obs.Metrics.counter "exec.col_decoded_rows"
+
+let encodes f =
+  let before = Obs.Metrics.counter_value encoded_rows in
+  let x = f () in
+  (x, Obs.Metrics.counter_value encoded_rows - before)
+
+(* An append keeps a column's buffers and encodes only the new values,
+   unless they change its kind: then that one column is re-encoded whole. *)
+let test_append_kinds () =
+  let case name init extra kind cost =
+    Alcotest.(check bool) (name ^ ": equals a put") true
+      (append_equals_put [ "c" ] init [ extra ]);
+    let db = Engine.Db.put empty_db "t" (R.create [ "c" ] init) in
+    let db, n = encodes (fun () -> Engine.Db.append db "t" extra) in
+    Alcotest.(check string) (name ^ ": kind") kind (kind_of (Engine.Db.batch db "t").C.cols.(0));
+    Alcotest.(check int) (name ^ ": rows encoded") cost n
+  in
+  let one v = [ [| v |] ] in
+  case "ints + int" [ [| i 1 |]; [| V.Null |] ] (one (i 2)) "ints" 1;
+  case "ints + float" [ [| i 1 |]; [| i 2 |] ] (one (f 0.5)) "boxed" 3;
+  case "all-NULL prefix + int" [ [| V.Null |]; [| V.Null |] ] (one (i 1)) "ints" 3;
+  case "dict + new strings" [ [| s "x" |]; [| s "y" |] ]
+    [ [| s "z" |]; [| s "x" |]; [| s "w" |] ] "dict 4" 3;
+  case "floats + int" [ [| f 0.5 |] ] (one (i 3)) "boxed" 2;
+  case "empty + floats" [] (one (f 0.5)) "floats" 1
+
+(* Column-based distinct counts equal a hash set of the boxed values, NULL
+   counting as one value. *)
+let prop_ndv_matches_rows =
+  let gen =
+    let open QCheck.Gen in
+    let* fam = oneofl [ Fint; Ffloat; Fstr; Fdate; Fbool ] in
+    let special = oneofl [ V.Float Float.nan; V.Float (-0.0); V.Float 0.0; V.Null ] in
+    list_size (int_range 0 30) (frequency [ (6, gen_value fam); (1, special) ])
+  in
+  QCheck.Test.make ~name:"ndv statistics equal the row-based count" ~count:300
+    (QCheck.make ~print:(fun vs -> String.concat "," (List.map V.to_string vs)) gen)
+    (fun vals ->
+      let seen = Hashtbl.create 16 in
+      List.iter (fun v -> Hashtbl.replace seen v ()) vals;
+      let db =
+        Engine.Db.put empty_db "t" (R.create [ "c" ] (List.map (fun v -> [| v |]) vals))
       in
-      same_batch (C.cached last) (C.of_relation last))
+      Catalog.col_ndv (Engine.Db.catalog db) "t" "c" = Some (Hashtbl.length seen))
 
-let decoded_rows = Obs.Metrics.counter "exec.col_decoded_rows"
-
-(* rows decoded by [C.cached r] *)
-let decode_cost r =
-  let before = Obs.Metrics.counter_value decoded_rows in
-  ignore (C.cached r);
-  Obs.Metrics.counter_value decoded_rows - before
-
-let test_decode_extension_cost () =
-  let r = R.create [ "a"; "s" ] [ [| i 1; s "x" |]; [| i 2; V.Null |]; [| i 3; s "y" |] ] in
-  ignore (C.cached r);
-  let r' = R.append r [ [| i 4; s "z" |]; [| V.Null; s "x" |] ] in
-  Alcotest.(check int) "only the appended rows" 2 (decode_cost r');
-  Alcotest.(check int) "then a hit" 0 (decode_cost r');
-  Alcotest.(check bool) "equals a full decode" true (same_batch (C.cached r') (C.of_relation r'));
-  (* kind changes: the whole relation is decoded again *)
-  let floated = R.append r' [ [| f 0.5; s "w" |] ] in
-  Alcotest.(check int) "INT column receiving a FLOAT" 6 (decode_cost floated);
-  let nulls = R.create [ "a" ] [ [| V.Null |]; [| V.Null |] ] in
-  ignore (C.cached nulls);
-  Alcotest.(check int) "all-NULL prefix" 3 (decode_cost (R.append nulls [ [| i 1 |] ]))
-
-(* Through a session: after an INSERT of k rows into a decoded table, the
-   next scan decodes exactly k rows. *)
-let test_insert_decodes_only_new_rows () =
+(* Writes encode what they store; the scans after them encode nothing: not
+   a table after INSERT or DELETE, nor a summary merged from their delta. *)
+let test_scans_encode_nothing () =
   let sn =
     Mvstore.Session.create ~knobs:{ env_knobs with engine = Govern.Knobs.Vector } ()
   in
   let exec sql = ignore (Mvstore.Session.exec_sql sn sql) in
   exec
-    "CREATE TABLE w (a INT NOT NULL, b VARCHAR, c FLOAT); INSERT INTO w \
-     VALUES (1, 'x', 0.5), (2, NULL, 1.5), (3, 'y', NULL);";
-  let scan () = exec "SELECT a, b, c FROM w WHERE a > 0;" in
-  scan ();
-  exec "INSERT INTO w VALUES (4, 'z', 2.5), (5, NULL, 3), (6, 'x', NULL);";
-  let before = Obs.Metrics.counter_value decoded_rows in
-  scan ();
-  Alcotest.(check int) "three rows decoded" 3
-    (Obs.Metrics.counter_value decoded_rows - before)
+    "CREATE TABLE w (a INT NOT NULL, b VARCHAR, c FLOAT NOT NULL); INSERT INTO w \
+     VALUES (1, 'x', 0.5), (2, NULL, 1.5), (3, 'y', 2.5); CREATE SUMMARY TABLE \
+     sw AS SELECT b, COUNT(*) AS n, SUM(c) AS sc FROM w GROUP BY b;";
+  let scan () =
+    snd
+      (encodes (fun () ->
+           exec "SELECT a, b, c FROM w WHERE a > 0;";
+           exec "SELECT b, n, sc FROM sw;"))
+  in
+  List.iter
+    (fun write ->
+      exec write;
+      Alcotest.(check int) ("scan after " ^ write) 0 (scan ()))
+    [
+      "INSERT INTO w VALUES (4, 'z', 2.5), (5, NULL, 3.5);";
+      "DELETE FROM w WHERE a = 2;";
+    ];
+  match Mvstore.Store.find (Mvstore.Session.store sn) "sw" with
+  | Some e -> Alcotest.(check bool) "summary maintained, not refreshed" true e.Mvstore.Store.e_fresh
+  | None -> Alcotest.fail "summary missing"
 
 let suite =
   [
@@ -483,8 +532,9 @@ let suite =
       test_nan_aggregates;
     Alcotest.test_case "box self times add up" `Quick test_box_self_times_add_up;
     Alcotest.test_case "exact column of mixed values" `Quick test_column_exact;
-    QCheck_alcotest.to_alcotest prop_decode_extension;
-    Alcotest.test_case "decode extension cost" `Quick test_decode_extension_cost;
-    Alcotest.test_case "insert decodes only new rows" `Quick
-      test_insert_decodes_only_new_rows;
+    QCheck_alcotest.to_alcotest prop_append_equals_put;
+    Alcotest.test_case "append across kinds" `Quick test_append_kinds;
+    QCheck_alcotest.to_alcotest prop_ndv_matches_rows;
+    Alcotest.test_case "scans after writes encode nothing" `Quick
+      test_scans_encode_nothing;
   ]

@@ -393,6 +393,22 @@ let test_advisor_codes () =
         COUNT(*) AS c FROM orders GROUP BY region;");
   expect_diag sn "twin" "L105"
 
+(* L104 and grouping-set maintenance share one nullability rule: a
+   rolled-up key computed from a nullable column is nullable, so the lint
+   warns and the summary is not maintained by key. *)
+let test_l104_computed_key () =
+  let sn = advisor_session () in
+  ignore
+    (Sess.exec_sql sn
+       "CREATE TABLE t (g INT NOT NULL, v INT); INSERT INTO t VALUES (1, 2), \
+        (1, NULL); CREATE SUMMARY TABLE gs AS SELECT g, v + 1 AS w, COUNT(*) \
+        AS c FROM t GROUP BY GROUPING SETS ((g, v + 1), (g));");
+  expect_diag sn "gs" "L104";
+  match Mvstore.Store.find (Sess.store sn) "gs" with
+  | Some e ->
+      Alcotest.(check bool) "not maintained by key" true (e.Mvstore.Store.e_incr = None)
+  | None -> Alcotest.fail "summary gs missing"
+
 let test_advisor_clean_definition () =
   let sn = advisor_session () in
   ignore
@@ -520,6 +536,7 @@ let suite =
     Alcotest.test_case "level knob parsing" `Quick test_level_parsing;
     Alcotest.test_case "level off costs nothing" `Quick test_off_is_free;
     Alcotest.test_case "advisor L-codes" `Quick test_advisor_codes;
+    Alcotest.test_case "advisor L104 on a computed key" `Quick test_l104_computed_key;
     Alcotest.test_case "advisor clean definition" `Quick
       test_advisor_clean_definition;
     Alcotest.test_case "CREATE SUMMARY warns inline" `Quick

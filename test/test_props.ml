@@ -7,7 +7,7 @@ module G = Qgm.Graph
 let nullable sql col =
   let cat = tiny_catalog () in
   let g = build cat sql in
-  P.column_nullable cat g (G.root g) col
+  Qgm.Typing.column_nullable cat g (G.root g) col
 
 let test_base_nullability () =
   Alcotest.(check bool) "not null col" false (nullable "select k, v from fact" "k");

@@ -84,19 +84,55 @@ let test_pp_contains_data () =
   Alcotest.(check bool) "row count shown" true (contains_sub txt "(3 rows)");
   Alcotest.(check bool) "header shown" true (contains_sub txt "| a ")
 
-let test_append_ancestry () =
-  let r0 = R.create [ "a" ] [ [| V.Int 0 |] ] in
-  Alcotest.(check (list int)) "created: none" [] (R.ancestry r0);
-  let r1 = R.append r0 [ [| V.Int 1 |] ] in
-  let r2 = R.append r1 [] in
-  Alcotest.(check (list int)) "newest first" [ R.id r1; R.id r0 ] (R.ancestry r2);
-  Alcotest.(check (list int)) "filter starts afresh" []
-    (R.ancestry (R.filter (fun _ -> true) r2));
-  let last = ref r2 in
-  for k = 1 to 20 do
-    last := R.append !last [ [| V.Int k |] ]
-  done;
-  Alcotest.(check int) "bounded" 16 (List.length (R.ancestry !last))
+(* Stored tables are typed columns: a put then a get hands back every
+   value with its own constructor and payload, floats to the bit. *)
+let same_value a b =
+  match (a, b) with
+  | V.Float x, V.Float y -> Int64.bits_of_float x = Int64.bits_of_float y
+  | _ -> a = b
+
+let gen_table =
+  let open QCheck.Gen in
+  let value =
+    frequency
+      [
+        (2, return V.Null);
+        (3, map (fun x -> V.Int x) (int_range (-3) 3));
+        (3, map (fun x -> V.Float x) (oneofl [ 0.0; -0.0; Float.nan; 1.5; -2.0; 1e300 ]));
+        (2, map (fun x -> V.Str x) (oneofl [ ""; "a"; "b" ]));
+        (2, map (fun d -> V.date 1999 12 d) (int_range 1 31));
+        (2, map (fun b -> V.Bool b) bool);
+      ]
+  in
+  (* a column draws from one or two kinds, or is all NULL *)
+  let column_gen =
+    frequency
+      [
+        (1, return (return V.Null));
+        (4, map (fun v -> oneof [ return V.Null; return v ]) value);
+        (4, map2 (fun a b -> oneofl [ a; b; V.Null ]) value value);
+        (3, return value);
+      ]
+  in
+  let* width = int_range 1 4 in
+  let* cols = list_repeat width column_gen in
+  let* n = frequency [ (1, return 0); (6, int_range 1 12) ] in
+  let* rows = list_repeat n (flatten_l cols) in
+  return (List.init width (Printf.sprintf "c%d"), List.map Array.of_list rows)
+
+let prop_stored_round_trip =
+  QCheck.Test.make ~name:"stored table round-trips every value" ~count:300
+    (QCheck.make
+       ~print:(fun (cols, rows) -> R.to_string (R.create cols rows))
+       gen_table)
+    (fun (cols, rows) ->
+      let db = Engine.Db.put (Engine.Db.create Catalog.empty) "t" (R.create cols rows) in
+      let back = Engine.Db.get_exn db "t" in
+      Array.to_list (R.columns back) = cols
+      && List.length (R.rows back) = List.length rows
+      && List.for_all2
+           (fun a b -> Array.length a = Array.length b && Array.for_all2 same_value a b)
+           rows (R.rows back))
 
 let suite =
   [
@@ -110,5 +146,5 @@ let suite =
     Alcotest.test_case "approximate bag equality" `Quick test_bag_equal_approx;
     Alcotest.test_case "sort/filter/append" `Quick test_sort_filter_append;
     Alcotest.test_case "pretty printing" `Quick test_pp_contains_data;
-    Alcotest.test_case "append ancestry" `Quick test_append_ancestry;
+    QCheck_alcotest.to_alcotest prop_stored_round_trip;
   ]
